@@ -119,6 +119,11 @@ bench-baseline:
 	  $(GO) test -bench 'SteadyState' -benchmem -benchtime 20000x -run '^$$' ./internal/sim ; } \
 		| $(GO) run ./cmd/benchguard -record $(BENCH_BASELINE)
 
+# The checked-in dated baseline, and bench-compare's default OLD. CI's
+# cache-miss fallback compares against it; TestBenchBaselinesCommitted
+# fails if a baseline named here or in CI is missing from the tree.
+BENCH_CHECKED_IN ?= BENCH_20260806.json
+
 # Fail on >10% ns/op or allocs/op growth between two baselines, or on any
 # steady-state benchmark that is no longer allocation-free:
 #   make bench-compare OLD=BENCH_a.json NEW=BENCH_b.json
@@ -126,6 +131,7 @@ bench-baseline:
 # cache-miss fallback compares against the checked-in dated baseline,
 # where only the alloc/metric gates are host-independent).
 THRESHOLD ?= 0.10
+OLD ?= $(BENCH_CHECKED_IN)
 bench-compare:
 	$(GO) run ./cmd/benchguard -compare $(OLD),$(NEW) -threshold $(THRESHOLD) -alloc-gate '^BenchmarkSteadyState'
 

@@ -20,6 +20,7 @@ import (
 
 	"itpsim/internal/experiments"
 	"itpsim/internal/plot"
+	"itpsim/internal/run"
 )
 
 // writeSVG renders one experiment as a grouped bar chart. Per-workload
@@ -57,34 +58,29 @@ func writeCSV(dir, id string, res experiments.Result) error {
 
 func main() {
 	var (
-		fig     = flag.String("fig", "", "experiment id (fig1 fig2 fig3 fig4 fig8a fig8b fig9 fig10 fig11 fig12 fig13 fig14 tab1 tab2 mc1) or 'all'")
-		scale   = flag.String("scale", "default", "preset scale: quick or default")
-		server  = flag.Int("server", 0, "override: number of server workloads")
-		spec    = flag.Int("spec", 0, "override: number of SPEC-like workloads")
-		pairs   = flag.Int("pairs", 0, "override: SMT pairs per category")
-		warmup  = flag.Uint64("warmup", 0, "override: warmup instructions per thread")
-		measure = flag.Uint64("measure", 0, "override: measured instructions per thread")
-		cores   = flag.Int("cores", 0, "CMP width for the multi-core co-location study (mc1); 0 = its default of 4")
-		par     = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		shards  = flag.Int("shards", 1, "split each single-workload simulation into this many parallel segments (1 = serial; error bounds in DESIGN.md §12)")
-
-		samplePhases = flag.Int("sample-phases", 0, "phase-sample each single-workload simulation: K phases from a shared LRU-baseline profile, one representative interval each (0 = off; error bounds in DESIGN.md §14)")
-		sampleWindow = flag.Uint64("sample-window", 0, "phase-classification interval in retired instructions (0 = 50000); warmup and measure must be multiples of it")
-		funcWarmup   = flag.Uint64("func-warmup", 0, "replay this prefix of each segment's warmup functionally (no pipeline); must leave a detailed warmup suffix")
-		csvDir  = flag.String("csv", "", "also write <dir>/<fig>.csv for each experiment")
-		svgDir  = flag.String("svg", "", "also render <dir>/<fig>.svg bar charts")
-
-		retries    = flag.Int("retries", 0, "retry attempts for transiently failed jobs")
-		jobTimeout = flag.Duration("job-timeout", 0, "per-job wall-clock deadline (0 = none)")
-		checkpoint = flag.String("checkpoint", "", "JSON-lines checkpoint journal; completed jobs are skipped on re-run")
-		wdInterval = flag.Duration("watchdog-interval", 5*time.Second, "forward-progress sampling period (0 disables the watchdog)")
-		wdSamples  = flag.Int("watchdog-samples", 6, "consecutive no-progress samples before a run is killed")
+		fig    = flag.String("fig", "", "experiment id (fig1 fig2 fig3 fig4 fig8a fig8b fig9 fig10 fig11 fig12 fig13 fig14 tab1 tab2 mc1) or 'all'")
+		scale  = flag.String("scale", "default", "preset scale: quick or default")
+		server = flag.Int("server", 0, "override: number of server workloads")
+		spec   = flag.Int("spec", 0, "override: number of SPEC-like workloads")
+		pairs  = flag.Int("pairs", 0, "override: SMT pairs per category")
+		csvDir = flag.String("csv", "", "also write <dir>/<fig>.csv for each experiment")
+		svgDir = flag.String("svg", "", "also render <dir>/<fig>.svg bar charts")
 	)
+	f := run.RegisterFlags(flag.CommandLine, run.FlagDefaults{
+		Tool:        "itpbench",
+		MeasureFlag: "measure",
+		LengthNote:  " (0 = the -scale preset)",
+		CoresUsage:  "CMP width for the multi-core co-location study (mc1); 0 = its default of 4",
+	})
 	flag.Parse()
 
 	if *fig == "" {
 		fmt.Fprintf(os.Stderr, "itpbench: -fig required; available: %s, all\n",
 			strings.Join(experiments.All(), " "))
+		os.Exit(2)
+	}
+	if err := f.Mode().Validate(false); err != nil {
+		fmt.Fprintln(os.Stderr, "itpbench:", err)
 		os.Exit(2)
 	}
 
@@ -101,32 +97,26 @@ func main() {
 	if *pairs > 0 {
 		o.SMTPairsPerCategory = *pairs
 	}
-	if *warmup > 0 {
-		o.Warmup = *warmup
+	if f.Warmup > 0 {
+		o.Warmup = f.Warmup
 	}
-	if *measure > 0 {
-		o.Measure = *measure
+	if f.Measure > 0 {
+		o.Measure = f.Measure
 	}
-	if *cores > 0 {
-		o.Cores = *cores
+	if f.Cores > 0 {
+		o.Cores = f.Cores
 	}
-	if *samplePhases > 0 && *shards > 1 {
-		fmt.Fprintln(os.Stderr, "itpbench: -sample-phases and -shards are alternative parallel modes; pick one")
-		os.Exit(2)
-	}
-	o.Parallelism = *par
-	o.Shards = *shards
-	o.SamplePhases = *samplePhases
-	o.SampleWindow = *sampleWindow
-	o.FuncWarmup = *funcWarmup
-	o.Retries = *retries
-	o.JobTimeout = *jobTimeout
-	o.Checkpoint = *checkpoint
-	o.WatchdogInterval = *wdInterval
-	o.WatchdogSamples = *wdSamples
-	o.Logf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
+	o.Parallelism = f.Parallel
+	o.Shards = f.Shards
+	o.SamplePhases = f.SamplePhases
+	o.SampleWindow = f.SampleWindow
+	o.FuncWarmup = f.FuncWarmup
+	o.Retries = f.Retries
+	o.JobTimeout = f.JobTimeout
+	o.Checkpoint = f.Checkpoint
+	o.WatchdogInterval = f.WatchdogInterval
+	o.WatchdogSamples = f.WatchdogSamples
+	o.Logf = f.Harness(os.Stderr).Logf
 
 	ids := []string{*fig}
 	if *fig == "all" {

@@ -198,18 +198,18 @@ func TestMemoisationSharesBaselines(t *testing.T) {
 	cfg := config.Default()
 	j1 := r.newJob([]string{"srv_000"}, cfg, "x")
 	j2 := r.newJob([]string{"srv_000"}, cfg, "x")
-	if j1.key != j2.key {
+	if j1.Key() != j2.Key() {
 		t.Error("identical jobs should share a memo key")
 	}
-	s1, err := r.run(nil, j1)
+	s1, err := r.runAll([]job{j1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := r.run(nil, j2)
+	s2, err := r.runAll([]job{j2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1 != s2 {
+	if s1[0] != s2[0] {
 		t.Error("memoised run should return the same stats object")
 	}
 }
@@ -337,13 +337,13 @@ func TestJobKeysDifferAcrossConfigs(t *testing.T) {
 	cfg := config.Default()
 	cfg.STLBPolicy = "itp"
 	b := r.newJob([]string{"srv_000"}, cfg, "x")
-	if a.key == b.key {
+	if a.Key() == b.Key() {
 		t.Error("different policies must not share a memo key")
 	}
 	cfg2 := config.Default()
 	cfg2.HugePageFraction = 0.5
 	c := r.newJob([]string{"srv_000"}, cfg2, "x")
-	if a.key == c.key {
+	if a.Key() == c.Key() {
 		t.Error("different huge-page fractions must not share a memo key")
 	}
 }

@@ -64,11 +64,7 @@ func Ext1(o Options) (Result, error) {
 		v.mod(&cfg)
 		jobs := make([]job, len(names))
 		for i, n := range names {
-			j := r.newJob([]string{n}, cfg, "ext1")
-			// STLBPrefetch and the static/emissary variants share policy
-			// names with other combos; disambiguate the memo key.
-			j.key += "|" + v.name
-			jobs[i] = j
+			jobs[i] = r.newJob([]string{n}, cfg, "ext1")
 		}
 		sims, err := r.runAll(jobs)
 		if err != nil {

@@ -89,3 +89,19 @@ func (p *Profiles) Get(cfg Config, src shard.Source, attach func(*sim.Machine)) 
 	})
 	return e.recs, e.err
 }
+
+// Plan builds cfg's plan for src. The exact K=1 plan needs no profile;
+// otherwise the profiling pre-pass runs (or is recalled) first.
+func (p *Profiles) Plan(cfg Config, src shard.Source) (*Plan, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Phases == 1 {
+		return BuildPlan(cfg, nil)
+	}
+	prof, err := p.Get(cfg, src, nil)
+	if err != nil {
+		return nil, err
+	}
+	return BuildPlan(cfg, prof)
+}

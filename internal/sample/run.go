@@ -110,29 +110,12 @@ func (p *Plan) Stitch(outs []harness.Outcome[*shard.Payload]) (*Result, error) {
 // supervisor, weighted stitch. profiles may be nil (a throwaway cache);
 // ix may be nil (no cross-run position snapshots).
 func Run(cfg Config, baseKey string, src shard.Source, ix *shard.Index, profiles *Profiles, opts harness.Options) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	if profiles == nil {
+		profiles = NewProfiles()
 	}
-	var plan *Plan
-	if cfg.Phases == 1 {
-		p, err := BuildPlan(cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		plan = p
-	} else {
-		if profiles == nil {
-			profiles = NewProfiles()
-		}
-		prof, err := profiles.Get(cfg, src, nil)
-		if err != nil {
-			return nil, err
-		}
-		p, err := BuildPlan(cfg, prof)
-		if err != nil {
-			return nil, err
-		}
-		plan = p
+	plan, err := profiles.Plan(cfg, src)
+	if err != nil {
+		return nil, err
 	}
 	jobs, err := plan.Jobs(baseKey, src, ix)
 	if err != nil {
