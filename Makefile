@@ -63,11 +63,12 @@ cover-check:
 
 # Race-detector matrix over the concurrent surface the machineown/
 # goroutinelife/lockscope analyzers guard statically: sharded runs, the
-# sampling pre-pass, the supervisor, the decode-ahead ring, and the
-# metrics registry. -count=2 reruns each test so per-run state (pools,
-# rings, checkpoints) is exercised twice under the detector.
+# sampling pre-pass, the supervisor, the decode-ahead ring, the metrics
+# window sampler, and the run planner with its /debug/vars live view.
+# -count=2 reruns each test so per-run state (pools, rings, checkpoints)
+# is exercised twice under the detector.
 race-matrix:
-	$(GO) test -race -count=2 ./internal/shard ./internal/sample ./internal/harness ./internal/workload ./internal/metrics
+	$(GO) test -race -count=2 ./internal/shard ./internal/sample ./internal/harness ./internal/workload ./internal/metrics ./internal/run
 
 # Short fuzz pass over the parsers that read untrusted bytes — the trace
 # decoder and the checkpoint-journal recovery path — plus the stream

@@ -106,17 +106,8 @@ func main() {
 	if f.Cores > 0 {
 		o.Cores = f.Cores
 	}
-	o.Parallelism = f.Parallel
-	o.Shards = f.Shards
-	o.SamplePhases = f.SamplePhases
-	o.SampleWindow = f.SampleWindow
-	o.FuncWarmup = f.FuncWarmup
-	o.Retries = f.Retries
-	o.JobTimeout = f.JobTimeout
-	o.Checkpoint = f.Checkpoint
-	o.WatchdogInterval = f.WatchdogInterval
-	o.WatchdogSamples = f.WatchdogSamples
-	o.Logf = f.Harness(os.Stderr).Logf
+	o.Harness = f.Harness(os.Stderr)
+	o.Mode = f.Mode()
 
 	ids := []string{*fig}
 	if *fig == "all" {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -105,6 +106,42 @@ func TestReports(t *testing.T) {
 	} {
 		if code, _, _ := itpsim(t, args...); code == 0 {
 			t.Errorf("%v accepted", args)
+		}
+	}
+}
+
+// TestWindowSeriesPinned: the -metrics-out window lines (manifest
+// excluded) of an iTP+xPTP run whose warmup ends mid-window, a 2-core
+// run, a stitched 4-shard run and an LRU run (whose L2C evicts data
+// PTEs) match the series in testdata byte for byte. The series come from
+// the simulator's own counters; these files pin every exported delta,
+// including the window the warmup reset falls in.
+func TestWindowSeriesPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"serial", []string{"-stlb", "itp", "-l2c", "xptp", "-warmup", "21000"}},
+		{"cores2", []string{"-workload", "srv_000,srv_001", "-cores", "2", "-stlb", "itp", "-l2c", "xptp", "-warmup", "21000"}},
+		{"shards4", []string{"-stlb", "itp", "-l2c", "xptp", "-shards", "4"}},
+		{"lru", []string{"-warmup", "21000"}},
+	} {
+		out := filepath.Join(t.TempDir(), "m.jsonl")
+		code, _, stderr := itpsim(t, append(c.args, "-metrics-window", "2500", "-metrics-out", out)...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d: %s", c.name, code, stderr)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, got, _ = bytes.Cut(got, []byte("\n")) // drop the manifest line
+		want, err := os.ReadFile(filepath.Join("testdata", "windows_"+c.name+".jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: window series differs from testdata/windows_%s.jsonl", c.name, c.name)
 		}
 	}
 }

@@ -160,7 +160,7 @@ func runMetricsTo(t *testing.T, w io.Writer, onErr func(error)) (chain, count ui
 		t.Fatal(err)
 	}
 	m.EnableBeacons(batteryBeacon)
-	ws := m.InstrumentMetrics(metrics.NewRegistry(), 0)
+	ws := m.InstrumentMetrics(0)
 	ws.SetSink(metrics.NewJSONL(w).WindowSink("battery", onErr))
 	if _, err := m.Run([]workload.Stream{batterySpec()}, batteryInstr); err != nil {
 		t.Fatal(err)

@@ -41,54 +41,15 @@ type Options struct {
 	// 0 selects the study's default width (4); the paper-style sweep
 	// runs it at 4, 16, and 64. Other experiments ignore it.
 	Cores int
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
-	Parallelism int
-	// Shards > 1 splits every single-workload simulation into that many
-	// parallel warmup+measure segments (internal/shard), stitched back
-	// into one stats record per job; SMT pair simulations always run
-	// whole because sharding is defined over a single stream. The
-	// per-shard warmup approximation shifts metrics within the bounds
-	// documented in DESIGN.md §12.
-	Shards int
-	// SamplePhases > 0 phase-samples every single-workload simulation
-	// (internal/sample): an LRU-baseline profiling pre-pass classifies
-	// the measured region into K phases and only one representative
-	// interval per phase simulates in detail, with full-run statistics
-	// reconstructed as the occupancy-weighted sum. One profile serves
-	// every policy combination that shares a (workload, machine
-	// geometry), which is where the speedup over serial sweeping comes
-	// from. SMT pairs and multi-core jobs run whole. Error bounds are in
-	// DESIGN.md §14. Mutually exclusive with Shards > 1.
-	SamplePhases int
-	// SampleWindow is the phase-classification interval in retired
-	// instructions (0 = 50_000); Warmup and Measure must be multiples of
-	// it when SamplePhases > 1.
-	SampleWindow uint64
-	// FuncWarmup replays this prefix of each segment's warmup
-	// functionally (TLB/cache/predictor state only, no pipeline); it must
-	// leave a detailed warmup suffix. Applies to the Shards and
-	// SamplePhases paths.
-	FuncWarmup uint64
-
-	// Fault tolerance: every sweep routes its jobs through the
-	// internal/harness supervisor with these settings.
-	//
-	// Retries re-attempts transiently failed jobs with capped exponential
-	// backoff; JobTimeout is the per-simulation wall-clock deadline
-	// (0 = none). WatchdogInterval/WatchdogSamples arm the
-	// forward-progress watchdog: a simulation that retires no instruction
-	// for that many consecutive samples is killed with a diagnostic
-	// snapshot. Checkpoint names a JSON-lines journal of completed jobs
-	// (keyed like the in-process memo) so an interrupted campaign resumes
-	// without re-running finished work.
-	Retries          int
-	JobTimeout       time.Duration
-	WatchdogInterval time.Duration
-	WatchdogSamples  int
-	Checkpoint       string
-	// Logf receives supervision events (retries, kills, resumes);
-	// nil discards them.
-	Logf func(format string, args ...any)
+	// Harness is the supervision policy every simulation runs under
+	// (parallelism, retries, deadlines, watchdog, checkpoint journal,
+	// event log); see internal/harness.
+	Harness harness.Options
+	// Mode selects how single-workload simulations run: whole, split
+	// into shards, or phase-sampled, with optional functional warmup.
+	// SMT pairs and multi-core jobs always run whole. Mode rules and
+	// error bounds are internal/run's (DESIGN.md §7, §12, §14).
+	Mode run.Mode
 }
 
 // Defaults returns laptop-scale defaults.
@@ -103,8 +64,7 @@ func Defaults() Options {
 		// no-progress watchdog (30s of zero retires) is safe to arm by
 		// default and turns a livelocked job into one structured failure
 		// instead of a hung campaign.
-		WatchdogInterval: 5 * time.Second,
-		WatchdogSamples:  6,
+		Harness: harness.Options{WatchdogInterval: 5 * time.Second, WatchdogSamples: 6},
 	}
 }
 
@@ -116,8 +76,7 @@ func Quick() Options {
 		SMTPairsPerCategory: 1,
 		Warmup:              200_000,
 		Measure:             400_000,
-		WatchdogInterval:    5 * time.Second,
-		WatchdogSamples:     6,
+		Harness:             harness.Options{WatchdogInterval: 5 * time.Second, WatchdogSamples: 6},
 	}
 }
 
@@ -182,20 +141,7 @@ func newRunner(o Options) *runner {
 	return &runner{
 		o:   o,
 		cat: workload.NewCatalog(120, 20),
-		run: run.New(harness.Options{
-			Parallelism:      o.Parallelism,
-			Retries:          o.Retries,
-			JobTimeout:       o.JobTimeout,
-			WatchdogInterval: o.WatchdogInterval,
-			WatchdogSamples:  o.WatchdogSamples,
-			Checkpoint:       o.Checkpoint,
-			Logf:             o.Logf,
-		}, run.Mode{
-			Shards:       o.Shards,
-			SamplePhases: o.SamplePhases,
-			SampleWindow: o.SampleWindow,
-			FuncWarmup:   o.FuncWarmup,
-		}),
+		run: run.New(o.Harness, o.Mode),
 	}
 }
 

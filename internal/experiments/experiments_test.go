@@ -220,8 +220,8 @@ func TestMemoisationSharesBaselines(t *testing.T) {
 // snapshot), and still produce results for every healthy job.
 func TestRunAllReportsFaultsWithPartialResults(t *testing.T) {
 	o := tiny()
-	o.WatchdogInterval = 10 * time.Millisecond
-	o.WatchdogSamples = 3
+	o.Harness.WatchdogInterval = 10 * time.Millisecond
+	o.Harness.WatchdogSamples = 3
 	r := newRunner(o)
 	base, err := r.cat.Get("spec_000")
 	if err != nil {
@@ -273,7 +273,7 @@ func TestRunAllReportsFaultsWithPartialResults(t *testing.T) {
 // without re-simulation, and only the previously failed job re-executes.
 func TestRunAllCheckpointResume(t *testing.T) {
 	o := tiny()
-	o.Checkpoint = filepath.Join(t.TempDir(), "exp.ckpt")
+	o.Harness.Checkpoint = filepath.Join(t.TempDir(), "exp.ckpt")
 	cfg := config.Default()
 
 	r1 := newRunner(o)
@@ -393,7 +393,7 @@ func TestGeomeanSpeedupAgainstKnownValues(t *testing.T) {
 }
 
 // TestShardedRunAllMatchesSerial routes the same job set through the
-// serial and Options.Shards paths: pair jobs (run whole) and duplicate
+// serial and Options.Mode.Shards paths: pair jobs (run whole) and duplicate
 // keys must be exact, single-workload jobs must agree within the
 // sharding methodology's error bounds (DESIGN.md §12), and the stitched
 // instruction count must be exact.
@@ -412,7 +412,7 @@ func TestShardedRunAllMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	o.Shards = 2
+	o.Mode.Shards = 2
 	sharded := newRunner(o)
 	got, err := sharded.runAll(jobs)
 	if err != nil {
@@ -452,7 +452,7 @@ func TestShardedRunAllMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedFigure runs one real figure through Options.Shards and
+// TestShardedFigure runs one real figure through Options.Mode.Shards and
 // checks it produces the same rows as the serial run.
 func TestShardedFigure(t *testing.T) {
 	o := tiny()
@@ -460,7 +460,7 @@ func TestShardedFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Shards = 2
+	o.Mode.Shards = 2
 	sharded, err := Fig2(o)
 	if err != nil {
 		t.Fatal(err)
@@ -479,7 +479,7 @@ func TestShardedFigure(t *testing.T) {
 }
 
 // TestSampledRunAllMatchesSerial routes the same job set through the
-// serial and Options.SamplePhases paths: pair jobs (run whole) and
+// serial and Options.Mode.SamplePhases paths: pair jobs (run whole) and
 // duplicate keys must be exact, the reconstructed instruction count must
 // be exact, and IPC must land within the sampling methodology's bounds
 // (DESIGN.md §14 — wider than sharding's because phase sampling
@@ -499,9 +499,9 @@ func TestSampledRunAllMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	o.SamplePhases = 2
-	o.SampleWindow = 10_000
-	o.FuncWarmup = 10_000
+	o.Mode.SamplePhases = 2
+	o.Mode.SampleWindow = 10_000
+	o.Mode.FuncWarmup = 10_000
 	sampled := newRunner(o)
 	got, err := sampled.runAll(jobs)
 	if err != nil {
@@ -536,7 +536,7 @@ func TestSampledRunAllMatchesSerial(t *testing.T) {
 		}
 	}
 	// SamplePhases and Shards together is a configuration error.
-	o.Shards = 2
+	o.Mode.Shards = 2
 	if _, err := newRunner(o).runAll(jobs); err == nil {
 		t.Error("SamplePhases+Shards accepted; want an error")
 	}
@@ -555,7 +555,7 @@ func TestFuncWarmupRunAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.FuncWarmup = 10_000
+	o.Mode.FuncWarmup = 10_000
 	got, err := newRunner(o).runAll(jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -568,7 +568,7 @@ func TestFuncWarmupRunAll(t *testing.T) {
 	}
 }
 
-// TestSampledFigure runs one real figure through Options.SamplePhases
+// TestSampledFigure runs one real figure through Options.Mode.SamplePhases
 // and checks it produces the same rows as the serial run.
 func TestSampledFigure(t *testing.T) {
 	o := tiny()
@@ -576,8 +576,8 @@ func TestSampledFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.SamplePhases = 2
-	o.SampleWindow = 10_000
+	o.Mode.SamplePhases = 2
+	o.Mode.SampleWindow = 10_000
 	sampled, err := Fig2(o)
 	if err != nil {
 		t.Fatal(err)

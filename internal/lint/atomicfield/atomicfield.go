@@ -4,7 +4,7 @@
 // everywhere. A mixed regime — `atomic.AddUint64(&s.n, 1)` on one
 // goroutine and `s.n++` on another — is a data race the race detector
 // only catches when both sides happen to run in a -race test; beacon
-// publication and the metrics registry depend on these fields being
+// publication and the progress counters depend on these fields being
 // torn-free.
 //
 // The analyzer collects the set of atomically-accessed fields from every

@@ -41,9 +41,6 @@ const (
 	DirUnitcast = "unitcast"
 	// DirIgnoreErr permits a discarded error (errpropagation).
 	DirIgnoreErr = "ignore-err"
-	// DirStatWiring marks the function whose registrations statregistry
-	// checks against metrics.RequiredStats.
-	DirStatWiring = "statwiring"
 	// DirOwner marks a reviewed ownership-transfer point: a go statement,
 	// channel send, or package-level variable through which machine-owned
 	// state legally changes its owning goroutine (machineown). The

@@ -1,11 +1,12 @@
 package metrics
 
 // RequiredStats names every counter the paper's headline figures are
-// derived from. The statregistry analyzer (cmd/itpvet) proves statically
-// that the //itp:statwiring root — sim.(*Machine).InstrumentMetrics —
-// registers each of these names, so a figure can never silently read a
-// counter that was dropped in a refactor. Names follow the registry's
-// dotted convention: <component>.<event>[.<class>].
+// derived from. sim.(*Machine).InstrumentMetrics tracks each of them
+// from one table of readers over the machine's own counters, and
+// sim's TestRequiredStatsRegistered fails if a run's window records and
+// live view stop carrying any of these names, so a figure can never
+// silently read a counter that was dropped in a refactor. Names follow
+// the dotted convention <component>.<event>[.<class>].
 var RequiredStats = []string{
 	// Demand STLB misses by translation class: the inputs to the
 	// adaptive xPTP controller and the per-window MPKI series (Figure 7).
@@ -22,8 +23,9 @@ var RequiredStats = []string{
 	"ptw.walk.instr",
 	"ptw.walk.data",
 
-	// Adaptive controller enable/disable flips (Section 4.3.1); only
-	// registered when a run has an adaptive controller attached.
+	// Adaptive controller enable/disable flips (Section 4.3.1); in the
+	// live view only, and only when a run has an adaptive controller
+	// attached.
 	"xptp.transitions",
 
 	// Per-window phase-classification features (internal/sample): L1I and

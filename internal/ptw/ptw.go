@@ -12,7 +12,6 @@ import (
 	"itpsim/internal/arch"
 	"itpsim/internal/cache"
 	"itpsim/internal/config"
-	"itpsim/internal/metrics"
 	"itpsim/internal/stats"
 	"itpsim/internal/vm"
 )
@@ -110,27 +109,10 @@ type Walker struct {
 	mem        cache.Level
 	sim        *stats.Sim
 
-	// Observability (nil — and therefore free — until Instrument
-	// attaches a registry). walkCtr is indexed by arch.Class.
-	walkCtr [2]*metrics.Counter
-	walkLat *metrics.Histogram
-	pscHits *metrics.Counter
-
 	// acc is the scratch access record the per-level PTE reads reuse; a
 	// loop local passed through the cache.Level interface would escape to
 	// the heap on every walk step.
 	acc arch.Access
-}
-
-// Instrument attaches observability counters from the registry under the
-// given prefix (e.g. "ptw"): completed walks by translation class, the
-// walk-latency distribution, and page-structure-cache hits. A nil
-// registry leaves everything a no-op.
-func (w *Walker) Instrument(reg *metrics.Registry, prefix string) {
-	w.walkCtr[arch.InstrClass] = reg.Counter(prefix + ".walk.instr")
-	w.walkCtr[arch.DataClass] = reg.Counter(prefix + ".walk.data")
-	w.walkLat = reg.Histogram(prefix + ".walk_latency")
-	w.pscHits = reg.Counter(prefix + ".psc_hits")
 }
 
 // New builds a walker that issues PTE references into mem (normally the
@@ -185,7 +167,6 @@ func (w *Walker) Walk(now uint64, va arch.Addr, tr *vm.Translation, class arch.C
 			if w.sim != nil {
 				w.sim.PSCHits[pscIndex(level)]++
 			}
-			w.pscHits.Inc()
 			// Skip all steps at or above this level.
 			for firstStep < tr.NumSteps && tr.Steps[firstStep].Level >= level {
 				firstStep++
@@ -219,7 +200,5 @@ func (w *Walker) Walk(now uint64, va arch.Addr, tr *vm.Translation, class arch.C
 		w.sim.PageWalks[class]++
 		w.sim.WalkLatSum[class] += arch.Cycle(t - now)
 	}
-	w.walkCtr[class].Inc()
-	w.walkLat.Observe(t - now)
 	return t, memRefs
 }

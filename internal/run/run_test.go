@@ -2,9 +2,13 @@ package run
 
 import (
 	"bytes"
+	"encoding/json"
+	"expvar"
+	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"itpsim/internal/config"
@@ -259,5 +263,63 @@ func TestBeaconsAndAudit(t *testing.T) {
 	}
 	if b := got[0].Beacon; b == nil || b.Count == 0 {
 		t.Error("whole run with beacons armed returned no chain")
+	}
+}
+
+// TestExpvarLiveViewDuringRun polls /debug/vars while a whole run with
+// Expvar set is in flight: under -race this proves the live view leaves
+// the run loop only through the copy each window close stores. The
+// final value carries the closed-window count and every required stat.
+func TestExpvarLiveViewDuringRun(t *testing.T) {
+	cfg := config.Default()
+	cfg.L2CPolicy = "xptp" // xptp.transitions needs the adaptive controller
+	r := New(harness.Options{}, Mode{MetricsWindow: 1000})
+	r.Expvar = "itpsim.test.live"
+	poll := func() map[string]uint64 {
+		rec := httptest.NewRecorder()
+		expvar.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
+		var vars map[string]json.RawMessage
+		if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
+			t.Errorf("/debug/vars is not JSON: %v", err)
+			return nil
+		}
+		var live map[string]uint64
+		if raw, ok := vars["itpsim.test.live.srv_000"]; ok {
+			if err := json.Unmarshal(raw, &live); err != nil {
+				t.Errorf("live view is not a counter map: %v", err)
+			}
+		}
+		return live
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				poll()
+			}
+		}
+	}()
+	_, err := r.Run([]Spec{spec(cfg, "srv_000")})
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	live := poll()
+	if live["windows"] != 60 || live["retired"] != 60_000 {
+		t.Errorf("final live view = %v, want 60 windows over 60000 retired", live)
+	}
+	for _, name := range metrics.RequiredStats {
+		if _, ok := live[name]; !ok {
+			t.Errorf("live view lacks required stat %q: %v", name, live)
+		}
 	}
 }

@@ -27,7 +27,7 @@ import (
 )
 
 // featureCounters are the per-window counter deltas that, with IPC, form
-// the phase-classification feature vector. All are registered by
+// the phase-classification feature vector. All are tracked by
 // sim.InstrumentMetrics and listed in metrics.RequiredStats.
 var featureCounters = []string{
 	"l1i.demand_miss",

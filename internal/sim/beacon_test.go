@@ -66,7 +66,7 @@ func TestBeaconIntervalDefaultsToMetricsWindow(t *testing.T) {
 	if got := m.BeaconInterval(); got != 0 {
 		t.Fatalf("beacons should be off by default, interval = %d", got)
 	}
-	m.InstrumentMetrics(metrics.NewRegistry(), 2500)
+	m.InstrumentMetrics(2500)
 	m.EnableBeacons(0)
 	if got := m.BeaconInterval(); got != 2500 {
 		t.Errorf("interval 0 should align to the attached metrics window, got %d", got)

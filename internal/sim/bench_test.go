@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"itpsim/internal/config"
-	"itpsim/internal/metrics"
 	"itpsim/internal/workload"
 )
 
@@ -33,7 +32,7 @@ func newSteadyMachine(b *testing.B, instrument, beacons bool, mutate func(*confi
 		b.Fatal(err)
 	}
 	if instrument {
-		w := m.InstrumentMetrics(metrics.NewRegistry(), 0)
+		w := m.InstrumentMetrics(0)
 		w.SetRetain(64)
 	}
 	if beacons {
@@ -104,11 +103,6 @@ var (
 		"itpsim/internal/prefetch",
 		"itpsim/internal/workload",
 	}
-	// hotpathMetrics adds the observability layer the instrumented twin
-	// drives: counters, the windowed sampler, and the controller hooks.
-	hotpathMetrics = []string{
-		"itpsim/internal/metrics",
-	}
 	// hotpathITPXPTP adds the paper's proposal policies: iTP on the STLB
 	// and adaptive xPTP (controller included) on the L2C.
 	hotpathITPXPTP = []string{
@@ -133,7 +127,7 @@ var (
 	// so keep entries as identifier references to the slices above.
 	hotpathGateManifest = map[string][]string{
 		"BenchmarkSteadyStateStep":           hotpathCommon,
-		"BenchmarkSteadyStateStepMetrics":    hotpathMetrics,
+		"BenchmarkSteadyStateStepMetrics":    hotpathCommon,
 		"BenchmarkSteadyStateStepITPXPTP":    hotpathITPXPTP,
 		"BenchmarkSteadyStateStepCHiRP":      hotpathCHiRP,
 		"BenchmarkSteadyStateStepBeacons":    hotpathBeacons,
@@ -155,8 +149,9 @@ func BenchmarkSteadyStateStep(b *testing.B) {
 	}
 }
 
-// BenchmarkSteadyStateStepMetrics is the instrumented twin: full registry
-// attached and per-1000-instruction windows closing into a retained ring.
+// BenchmarkSteadyStateStepMetrics is the instrumented twin: window
+// sampler attached and per-1000-instruction windows closing into a
+// retained ring.
 // It must also run allocation-free — window records and their counter
 // maps recycle in place.
 func BenchmarkSteadyStateStepMetrics(b *testing.B) {

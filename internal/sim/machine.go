@@ -25,7 +25,6 @@ import (
 	"itpsim/internal/config"
 	"itpsim/internal/core"
 	"itpsim/internal/dram"
-	"itpsim/internal/metrics"
 	"itpsim/internal/prefetch"
 	"itpsim/internal/ptw"
 	"itpsim/internal/replacement"
@@ -103,12 +102,13 @@ type Machine struct {
 	// threads is the per-run pipeline state, only touched by the run loop.
 	threads []*threadCtx
 
-	// met is the observability attachment (nil until InstrumentMetrics);
-	// the counters are cached on the machine so the translate and resolve
-	// hot paths pay one nil-safe increment, not a struct indirection.
-	met                               *machineMetrics
-	metSTLBMissInstr, metSTLBMissData *metrics.Counter
-	metBranchMispred                  *metrics.Counter
+	// met is the observability attachment (nil until InstrumentMetrics).
+	met *machineMetrics
+	// branchMispredicts counts branch mispredicts at the one resolve site
+	// in the step path; with IPC and the demand-miss counters it
+	// completes the per-window phase-feature vector. Not part of
+	// stats.Sim, so it survives the warmup reset.
+	branchMispredicts uint64
 	// maxRetireCycle is the latest retire cycle seen across threads —
 	// the cycle clock the windowed sampler stamps windows with. Typed
 	// arch.Cycle at this boundary so it cannot be confused with the
@@ -368,7 +368,6 @@ func (m *Machine) translate(c *coreState, now uint64, va arch.Addr, class arch.C
 		return physFrom(ppn, bits, va), stlbDone, false
 	}
 	ten.STLB.Record(bucket, false)
-	m.recordSTLBDemandMiss(bucket)
 	if m.ctrl != nil {
 		m.ctrl.OnSTLBMiss()
 	}
@@ -625,7 +624,7 @@ func (m *Machine) RunWarmup(streams []workload.Stream, warmup, measure uint64) (
 		run(warmup)
 		// Reset the measurement state, keeping all microarchitectural
 		// state warm.
-		m.Stats.ResetMeasured()
+		m.resetMeasured()
 		for _, th := range threads {
 			th.retiredAtReset = th.retired
 			th.lastRetireAtReset = th.lastRetire

@@ -6,7 +6,6 @@ import (
 
 	"itpsim/internal/arch"
 	"itpsim/internal/config"
-	"itpsim/internal/metrics"
 	"itpsim/internal/workload"
 )
 
@@ -44,7 +43,7 @@ func TestWarmFunctionalWindowCoordinates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := m.InstrumentMetrics(metrics.NewRegistry(), window)
+	w := m.InstrumentMetrics(window)
 	s := strideStream(fw+warmup+measure, 256)
 	if err := m.WarmFunctional(s, fw); err != nil {
 		t.Fatalf("functional warmup: %v", err)

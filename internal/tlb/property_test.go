@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"itpsim/internal/arch"
-	"itpsim/internal/metrics"
 )
 
 // touch performs the simulator's lookup-then-insert-on-miss protocol for
@@ -88,31 +87,5 @@ func TestTLBStackInvariantUnderRandomOps(t *testing.T) {
 	}
 	if instr != wantI || data != wantD {
 		t.Fatalf("Occupancy = (%d,%d), entries say (%d,%d)", instr, data, wantI, wantD)
-	}
-}
-
-// TestTLBInstrumentCountsDemandTraffic checks the structure-level metrics
-// counters agree with a hand-tracked reference under a random stream.
-func TestTLBInstrumentCountsDemandTraffic(t *testing.T) {
-	tl := New("counted", 2, 4, NewLRU())
-	reg := metrics.NewRegistry()
-	tl.Instrument(reg, "tlb")
-	rng := rand.New(rand.NewSource(5))
-	var hits, misses uint64
-	for step := 0; step < 5000; step++ {
-		vpn := uint64(rng.Intn(40))
-		class := arch.Class(rng.Intn(2))
-		va := arch.Addr(vpn << arch.PageBits4K)
-		if _, _, hit := tl.Lookup(va, 0, class, 0); hit {
-			hits++
-		} else {
-			misses++
-			tl.Insert(va, vpn, arch.PageBits4K, class, 0, 0)
-		}
-	}
-	gotHits := reg.Counter("tlb.hit.instr").Value() + reg.Counter("tlb.hit.data").Value()
-	gotMisses := reg.Counter("tlb.miss.instr").Value() + reg.Counter("tlb.miss.data").Value()
-	if gotHits != hits || gotMisses != misses {
-		t.Fatalf("counters say %d hits/%d misses, reference %d/%d", gotHits, gotMisses, hits, misses)
 	}
 }
