@@ -210,18 +210,61 @@ func TestWatchdogKillsStalledRun(t *testing.T) {
 	}
 }
 
+// progressGap runs the test machine on specStream and returns the longest
+// wall-clock gap it saw between two progress updates, and the mean time
+// per retired instruction. The machine publishes progress in batches, so
+// the gap is how long one batch takes on this host under this build: the
+// race detector and a loaded host both stretch it several-fold.
+func progressGap(t *testing.T) (gap, perInstr time.Duration) {
+	t.Helper()
+	m, err := sim.NewMachine(config.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200_000
+	done := make(chan error, 1)
+	poll := time.NewTicker(100 * time.Microsecond)
+	defer poll.Stop()
+	start := time.Now()
+	go func() {
+		_, err := m.Run([]workload.Stream{specStream()}, n)
+		done <- err
+	}()
+	last, lastAt := uint64(0), start
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return gap, time.Since(start) / n
+		case now := <-poll.C:
+			if p := m.Progress(); p != last {
+				gap = max(gap, now.Sub(lastAt))
+				last, lastAt = p, now
+			}
+		}
+	}
+}
+
 func TestWatchdogToleratesProgress(t *testing.T) {
-	o := fastOpts()
-	o.WatchdogInterval = 5 * time.Millisecond
-	o.WatchdogSamples = 2
 	// A healthy run longer than several watchdog periods must not be
-	// killed while it keeps retiring.
-	job := machineJob(t, "healthy", specStream(), 3_000_000)
+	// killed while it keeps retiring. "Healthy" is judged against the
+	// progress-batch time measured here and now, so the watchdog allows
+	// the same slack on a loaded 2-vCPU host under -race as on an idle
+	// workstation: a kill needs a batch 8x slower than the slowest seen.
+	gap, perInstr := progressGap(t)
+	o := fastOpts()
+	o.WatchdogInterval = max(5*time.Millisecond, 8*gap)
+	o.WatchdogSamples = 2
+	budget := uint64(20 * o.WatchdogInterval / perInstr) // about twenty intervals
+	t.Logf("progress gap %v, watchdog interval %v, budget %d instructions", gap, o.WatchdogInterval, budget)
+	job := machineJob(t, "healthy", specStream(), budget)
 	outs, err := harness.RunAll(o, []harness.Job[*stats.Sim]{job})
 	if err != nil {
 		t.Fatalf("healthy job was killed: %v", err)
 	}
-	if outs[0].Result.TotalInstructions() != 3_000_000 {
+	if outs[0].Result.TotalInstructions() != budget {
 		t.Errorf("retired %d instructions, want the full budget", outs[0].Result.TotalInstructions())
 	}
 }

@@ -62,8 +62,8 @@ func runGoldenMCCase(t *testing.T, stlb, l2c string) goldenMCStats {
 // four policy quadrants to testdata/golden_mc.json, the CMP counterpart
 // of TestGoldenRegression (same -update flag rewrites both).
 func TestGoldenMultiCoreRegression(t *testing.T) {
-	got := make(map[string]goldenMCStats, len(goldenCases))
-	for _, tc := range goldenCases {
+	got := make(map[string]goldenMCStats, len(goldenQuadrants))
+	for _, tc := range goldenQuadrants {
 		got[tc.name] = runGoldenMCCase(t, tc.stlb, tc.l2c)
 	}
 
@@ -92,7 +92,7 @@ func TestGoldenMultiCoreRegression(t *testing.T) {
 	}
 
 	const relTol = 1e-9
-	for _, tc := range goldenCases {
+	for _, tc := range goldenQuadrants {
 		w, ok := want[tc.name]
 		if !ok {
 			t.Errorf("%s: missing from golden file (rerun with -update)", tc.name)

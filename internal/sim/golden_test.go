@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"itpsim/internal/config"
@@ -25,25 +26,71 @@ type goldenStats struct {
 	L2CMissPct float64 `json:"l2c_miss_pct"`
 }
 
-// goldenCases are the paper's four policy quadrants over a fixed seeded
-// workload: baseline, iTP alone, xPTP alone, and the cooperative pair.
-var goldenCases = []struct {
-	name      string
-	stlb, l2c string
-}{
-	{"lru-lru", "lru", "lru"},
-	{"itp-lru", "itp", "lru"},
-	{"lru-xptp", "lru", "xptp"},
-	{"itp-xptp", "itp", "xptp"},
+// goldenCase is one pinned configuration: the STLB, L2C and LLC policy
+// names, and whether the STLB is split (Section 6.6).
+type goldenCase struct {
+	name           string
+	stlb, l2c, llc string
+	split          bool
 }
+
+// goldenQuadrants are the paper's four policy quadrants over a fixed
+// seeded workload: baseline, iTP alone, xPTP alone, and the cooperative
+// pair.
+var goldenQuadrants = []goldenCase{
+	{"lru-lru", "lru", "lru", "lru", false},
+	{"itp-lru", "itp", "lru", "lru", false},
+	{"lru-xptp", "lru", "xptp", "lru", false},
+	{"itp-xptp", "itp", "xptp", "lru", false},
+}
+
+// goldenCases pins every named policy end to end: the quadrants, each
+// other L2C policy NewMachine accepts, the other STLB policies, the split
+// STLB, and the LLC policies with per-set learning state.
+var goldenCases = append(slices.Clip(goldenQuadrants), []goldenCase{
+	{"lru-random", "lru", "random", "lru", false},
+	{"lru-srrip", "lru", "srrip", "lru", false},
+	{"lru-brrip", "lru", "brrip", "lru", false},
+	{"lru-drrip", "lru", "drrip", "lru", false},
+	{"lru-ship", "lru", "ship", "lru", false},
+	{"lru-mockingjay", "lru", "mockingjay", "lru", false},
+	{"lru-hawkeye", "lru", "hawkeye", "lru", false},
+	{"lru-ptp", "lru", "ptp", "lru", false},
+	{"lru-tdrrip", "lru", "tdrrip", "lru", false},
+	{"lru-tship", "lru", "tship", "lru", false},
+	{"lru-emissary", "lru", "emissary", "lru", false},
+	{"lru-xptp-static", "lru", "xptp-static", "lru", false},
+	{"lru-xptp-emissary", "lru", "xptp-emissary", "lru", false},
+	{"chirp-lru", "chirp", "lru", "lru", false},
+	{"problru-lru", "problru", "lru", "lru", false},
+	{"split-itp-xptp", "itp", "xptp", "lru", true},
+	{"lru-lru-llc-ship", "lru", "lru", "ship", false},
+	{"lru-lru-llc-mockingjay", "lru", "lru", "mockingjay", false},
+}...)
 
 const goldenPath = "testdata/golden.json"
 
-func runGoldenCase(t *testing.T, stlb, l2c string) goldenStats {
+// goldenRun is one case's result: its headline statistics and its final
+// beacon chain.
+type goldenRun struct {
+	stats  goldenStats
+	beacon goldenBeacon
+}
+
+// goldenRuns memoises runGoldenCase so TestGoldenRegression and
+// TestGoldenBeacons share one simulation per case.
+var goldenRuns = map[string]goldenRun{}
+
+func runGoldenCase(t *testing.T, tc goldenCase) goldenRun {
 	t.Helper()
+	if r, ok := goldenRuns[tc.name]; ok {
+		return r
+	}
 	cfg := config.Default()
-	cfg.STLBPolicy = stlb
-	cfg.L2CPolicy = l2c
+	cfg.STLBPolicy = tc.stlb
+	cfg.L2CPolicy = tc.l2c
+	cfg.LLCPolicy = tc.llc
+	cfg.SplitSTLB = tc.split
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -52,28 +99,35 @@ func runGoldenCase(t *testing.T, stlb, l2c string) goldenStats {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.EnableBeacons(0)
 	res, err := m.RunWarmup([]workload.Stream{spec.NewStream()}, 50_000, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := res.Stats
 	ti := s.TotalInstructions()
-	return goldenStats{
-		IPC:        s.IPC(),
-		STLBMPKI:   s.STLB.MPKI(ti),
-		PTWLatency: float64(s.WalkLatSum[0]+s.WalkLatSum[1]) / float64(s.PageWalks[0]+s.PageWalks[1]),
-		L2CMissPct: 100 * (1 - s.L2C.HitRate()),
+	chain, count := m.BeaconChain()
+	r := goldenRun{
+		stats: goldenStats{
+			IPC:        s.IPC(),
+			STLBMPKI:   s.STLB.MPKI(ti),
+			PTWLatency: float64(s.WalkLatSum[0]+s.WalkLatSum[1]) / float64(s.PageWalks[0]+s.PageWalks[1]),
+			L2CMissPct: 100 * (1 - s.L2C.HitRate()),
+		},
+		beacon: goldenBeacon{Chain: hex16(chain), Count: count},
 	}
+	goldenRuns[tc.name] = r
+	return r
 }
 
-// TestGoldenRegression locks the headline statistics of the four policy
-// quadrants to testdata/golden.json. The workload generator, the machine,
+// TestGoldenRegression locks the headline statistics of every golden
+// case to testdata/golden.json. The workload generator, the machine,
 // and Go's float arithmetic are all bit-deterministic, so the tolerance
 // only absorbs formatting round-trips, not behaviour.
 func TestGoldenRegression(t *testing.T) {
 	got := make(map[string]goldenStats, len(goldenCases))
 	for _, tc := range goldenCases {
-		got[tc.name] = runGoldenCase(t, tc.stlb, tc.l2c)
+		got[tc.name] = runGoldenCase(t, tc).stats
 	}
 
 	if *updateGolden {
