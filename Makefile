@@ -72,11 +72,14 @@ race-matrix:
 
 # Short fuzz pass over the parsers that read untrusted bytes — the trace
 # decoder and the checkpoint-journal recovery path — plus the stream
-# split/clone equivalence property that sharding rests on (CI smoke).
+# split/clone equivalence property that sharding rests on, and the TLB
+# and cache recency stacks against naive LRU/iTP/xPTP reference models
+# (CI smoke).
 fuzz-smoke:
 	$(GO) test -run FuzzReader -fuzz FuzzReader -fuzztime 10s ./internal/trace
 	$(GO) test -run FuzzCheckpointReader -fuzz FuzzCheckpointReader -fuzztime 10s ./internal/harness
 	$(GO) test -run FuzzSplitEquivalence -fuzz FuzzSplitEquivalence -fuzztime 10s ./internal/workload
+	$(GO) test -run FuzzRecencyReference -fuzz FuzzRecencyReference -fuzztime 10s ./internal/core
 
 # Fault-injection battery: every chaos fault class driven through the real
 # simulator and supervision stack under the race detector. Each scenario

@@ -21,28 +21,27 @@ type fifoPTE struct{}
 
 func (*fifoPTE) Name() string { return "fifo-pte" }
 
-func (*fifoPTE) Victim(_ int, set []replacement.Line, _ *arch.Access) int {
-	if w := replacement.InvalidWay(set); w >= 0 {
-		return w
-	}
-	// Oldest = deepest stack position (we reuse the recency stack as a
-	// FIFO queue by never promoting on hits).
-	victim := replacement.StackLRUVictim(set)
+// Victim runs only on a full set: the cache itself fills invalid ways
+// first.
+func (*fifoPTE) Victim(si int, set []replacement.Line, stack *replacement.Stack, _ *arch.Access) int {
+	// Oldest = bottom of the stack (we reuse the recency stack as a FIFO
+	// queue by never promoting on hits).
+	victim := stack.LRU(si)
 	if set[victim].IsPTE && !set[victim].Reused {
 		// Second chance: recycle to the tail once.
 		set[victim].Reused = true
-		replacement.MoveToStackPos(set, victim, 0)
-		return replacement.StackLRUVictim(set)
+		stack.Move(si, victim, 0)
+		return stack.LRU(si)
 	}
 	return victim
 }
 
-func (*fifoPTE) OnFill(_ int, set []replacement.Line, way int, _ *arch.Access) {
+func (*fifoPTE) OnFill(si int, set []replacement.Line, stack *replacement.Stack, way int, _ *arch.Access) {
 	set[way].Reused = false
-	replacement.MoveToStackPos(set, way, 0) // enqueue at tail of FIFO
+	stack.Move(si, way, 0) // enqueue at tail of FIFO
 }
 
-func (*fifoPTE) OnHit(int, []replacement.Line, int, *arch.Access) {} // FIFO: hits don't promote
+func (*fifoPTE) OnHit(int, []replacement.Line, *replacement.Stack, int, *arch.Access) {} // FIFO: hits don't promote
 
 func (*fifoPTE) OnEvict(int, []replacement.Line, int) {}
 

@@ -36,6 +36,7 @@ type Cache struct {
 	name    string
 	cfg     config.CacheConfig
 	sets    [][]replacement.Line
+	stack   *replacement.Stack
 	setMask uint64
 	policy  replacement.Policy
 	next    Level
@@ -74,6 +75,7 @@ func New(name string, cfg config.CacheConfig, pol replacement.Policy, next Level
 		name:    name,
 		cfg:     cfg,
 		sets:    make([][]replacement.Line, cfg.Sets),
+		stack:   replacement.NewStack(cfg.Sets, cfg.Ways),
 		setMask: uint64(cfg.Sets - 1),
 		policy:  pol,
 		next:    next,
@@ -82,7 +84,6 @@ func New(name string, cfg config.CacheConfig, pol replacement.Policy, next Level
 	}
 	for i := range c.sets {
 		c.sets[i] = make([]replacement.Line, cfg.Ways)
-		replacement.InitSet(c.sets[i])
 	}
 	return c
 }
@@ -167,13 +168,22 @@ func (c *Cache) mshrAllocate(now uint64) (*mshrEntry, uint64) {
 	return victim, earliest
 }
 
-// fill installs a block, evicting a victim per policy; returns the way.
+// fill installs a block into the deepest invalid way of its set, or
+// evicts a victim per policy when the set is full; returns the way.
 //
 //itp:hotpath
 func (c *Cache) fill(si int, acc *arch.Access) int {
 	set := c.sets[si]
-	way := c.policy.Victim(si, set, acc)
-	if set[way].Valid {
+	way := -1
+	order := c.stack.Order(si)
+	for pos := len(order) - 1; pos >= 0; pos-- {
+		if w := int(order[pos]); !set[w].Valid {
+			way = w
+			break
+		}
+	}
+	if way < 0 {
+		way = c.policy.Victim(si, set, c.stack, acc)
 		c.policy.OnEvict(si, set, way)
 		if set[way].IsPTE {
 			c.PTEEvictions++
@@ -189,9 +199,7 @@ func (c *Cache) fill(si int, acc *arch.Access) int {
 			}
 		}
 	}
-	line := &set[way]
-	stack := line.Stack // preserve the permutation invariant
-	*line = replacement.Line{
+	set[way] = replacement.Line{
 		Valid:      true,
 		Tag:        acc.Addr >> arch.BlockBits,
 		PC:         acc.PC,
@@ -201,10 +209,9 @@ func (c *Cache) fill(si int, acc *arch.Access) int {
 		STLBMiss:   acc.STLBMiss && !acc.IsPTE,
 		Thread:     acc.Thread,
 		Prefetched: acc.Kind == arch.Prefetch,
-		Stack:      stack,
 		Dirty:      acc.Kind == arch.Store,
 	}
-	c.policy.OnFill(si, set, way, acc)
+	c.policy.OnFill(si, set, c.stack, way, acc)
 	return way
 }
 
@@ -239,7 +246,7 @@ func (c *Cache) Access(now uint64, acc *arch.Access) uint64 {
 			if acc.Kind == arch.Store {
 				set[way].Dirty = true
 			}
-			c.policy.OnHit(si, set, way, acc)
+			c.policy.OnHit(si, set, c.stack, way, acc)
 			if e.readyAt > hitTime {
 				return e.readyAt
 			}
@@ -253,7 +260,7 @@ func (c *Cache) Access(now uint64, acc *arch.Access) uint64 {
 		if acc.Kind == arch.Store {
 			set[way].Dirty = true
 		}
-		c.policy.OnHit(si, set, way, acc)
+		c.policy.OnHit(si, set, c.stack, way, acc)
 		c.train(now, acc)
 		return hitTime
 	}

@@ -267,7 +267,7 @@ func TestStackInvariantAfterTraffic(t *testing.T) {
 		c.Access(uint64(i), load(arch.Addr(i%37)<<6))
 	}
 	for si := range c.sets {
-		if !replacement.CheckStackInvariant(c.sets[si]) {
+		if !c.stack.IsPermutation(si) {
 			t.Fatalf("set %d stack invariant broken", si)
 		}
 	}

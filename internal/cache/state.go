@@ -3,14 +3,17 @@ package cache
 import (
 	"itpsim/internal/arch"
 	"itpsim/internal/audit"
-	"itpsim/internal/replacement"
 )
 
 // HashState implements arch.StateHasher: the full tag/metadata array in
 // set/way order plus the MSHR file, so two caches hash equal iff their
 // contents, replacement state, and in-flight misses are identical.
 func (c *Cache) HashState(h *arch.StateHash) {
+	var pos [256]uint8 // pos[w] is way w's stack position, hashed with w's other fields
 	for si := range c.sets {
+		for p, w := range c.stack.Order(si) {
+			pos[w] = uint8(p)
+		}
 		for w := range c.sets[si] {
 			l := &c.sets[si][w]
 			h.Bool(l.Valid)
@@ -23,7 +26,7 @@ func (c *Cache) HashState(h *arch.StateHash) {
 			h.Bool(l.STLBMiss)
 			h.Word(uint64(l.Thread))
 			h.Bool(l.Prefetched)
-			h.Word(uint64(l.Stack))
+			h.Word(uint64(pos[w]))
 			h.Word(uint64(l.RRPV))
 			h.Word(uint64(l.Sig))
 			h.Bool(l.Reused)
@@ -48,7 +51,8 @@ const mshrLeakHorizon = 100_000_000
 
 // AuditState implements audit.Checkable. Invariants:
 //
-//   - stack-permutation: each set's Stack fields form a permutation;
+//   - stack-permutation: each set's recency order is a permutation of
+//     its ways;
 //   - duplicate-block: no two valid ways of a set hold the same
 //     (Tag, Thread);
 //   - pte-bits: IsDataPTE implies IsPTE (xPTP's Type bit qualifies a PTE
@@ -60,7 +64,7 @@ const mshrLeakHorizon = 100_000_000
 func (c *Cache) AuditState(r *audit.Report) {
 	for si := range c.sets {
 		set := c.sets[si]
-		if !replacement.CheckStackInvariant(set) {
+		if !c.stack.IsPermutation(si) {
 			r.Violatef("stack-permutation", "%s set %d: stack positions are not a permutation", c.name, si)
 		}
 		for a := range set {

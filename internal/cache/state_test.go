@@ -72,7 +72,7 @@ func TestCacheAuditCleanAfterTraffic(t *testing.T) {
 
 func TestCacheAuditDetectsStackCorruption(t *testing.T) {
 	c := trafficCache()
-	c.sets[0][0].Stack = 99
+	c.stack.Order(0)[0] = 99
 	found := false
 	for _, v := range auditCache(t, c, 100_000) {
 		if v.Rule == "stack-permutation" {

@@ -3,6 +3,7 @@ package core
 import (
 	"itpsim/internal/arch"
 	"itpsim/internal/config"
+	"itpsim/internal/replacement"
 	"itpsim/internal/tlb"
 )
 
@@ -47,8 +48,8 @@ func (*ITP) Name() string { return "itp" }
 // policies (Section 4.1).
 //
 //itp:hotpath
-func (*ITP) Victim(_ int, set []tlb.Entry, _ *tlb.Request) int {
-	return tlb.StackLRUVictim(set)
+func (*ITP) Victim(si int, _ []tlb.Entry, stack *replacement.Stack, _ *tlb.Request) int {
+	return stack.LRU(si)
 }
 
 // insertionPos returns the stack position iTP assigns to a new or
@@ -56,53 +57,45 @@ func (*ITP) Victim(_ int, set []tlb.Entry, _ *tlb.Request) int {
 // set size.
 //
 //itp:hotpath
-func (p *ITP) insertionPos(set []tlb.Entry) int {
-	pos := p.n
-	if pos >= len(set) {
-		pos = len(set) - 1
-	}
-	return pos
+func (p *ITP) insertionPos(ways int) int {
+	return min(p.n, ways-1)
 }
 
 // dataPromotionPos returns LRUpos+M as a stack index: M positions above
 // the bottom of the stack.
 //
 //itp:hotpath
-func (p *ITP) dataPromotionPos(set []tlb.Entry) int {
-	pos := len(set) - 1 - p.m
-	if pos < 0 {
-		pos = 0
-	}
-	return pos
+func (p *ITP) dataPromotionPos(ways int) int {
+	return max(ways-1-p.m, 0)
 }
 
 // OnFill implements tlb.Policy (iTP's insertion policy).
 //
 //itp:hotpath
-func (p *ITP) OnFill(_ int, set []tlb.Entry, way int, req *tlb.Request) {
+func (p *ITP) OnFill(si int, set []tlb.Entry, stack *replacement.Stack, way int, req *tlb.Request) {
 	if req.Class == arch.InstrClass {
 		set[way].Freq = 0
-		tlb.MoveToStackPos(set, way, p.insertionPos(set))
+		stack.Move(si, way, p.insertionPos(len(set)))
 		return
 	}
-	tlb.MoveToStackPos(set, way, len(set)-1) // LRUpos
+	stack.Move(si, way, len(set)-1) // LRUpos
 }
 
 // OnHit implements tlb.Policy (iTP's promotion policy).
 //
 //itp:hotpath
-func (p *ITP) OnHit(_ int, set []tlb.Entry, way int, _ *tlb.Request) {
+func (p *ITP) OnHit(si int, set []tlb.Entry, stack *replacement.Stack, way int, _ *tlb.Request) {
 	e := &set[way]
 	if e.Class == arch.InstrClass {
 		if e.Freq >= p.freqMax {
-			tlb.MoveToStackPos(set, way, 0) // MRUpos
+			stack.Move(si, way, 0) // MRUpos
 		} else {
-			tlb.MoveToStackPos(set, way, p.insertionPos(set))
+			stack.Move(si, way, p.insertionPos(len(set)))
 			e.Freq++
 		}
 		return
 	}
-	tlb.MoveToStackPos(set, way, p.dataPromotionPos(set))
+	stack.Move(si, way, p.dataPromotionPos(len(set)))
 }
 
 // OnEvict implements tlb.Policy.
@@ -140,48 +133,36 @@ func (p *ProbLRU) nextFloat() float64 {
 	return float64(p.rng>>11) / float64(1<<53)
 }
 
-// lruOfClass returns the deepest-stacked valid entry of class c, or -1.
+// Victim implements tlb.Policy: the deepest entry of the drawn class,
+// or the overall LRU entry when the set holds only the other class.
 //
 //itp:hotpath
-func lruOfClass(set []tlb.Entry, c arch.Class) int {
-	victim, deepest := -1, -1
-	for i := range set {
-		if set[i].Valid && set[i].Class == c && int(set[i].Stack) > deepest {
-			victim, deepest = i, int(set[i].Stack)
-		}
-	}
-	return victim
-}
-
-// Victim implements tlb.Policy.
-//
-//itp:hotpath
-func (p *ProbLRU) Victim(_ int, set []tlb.Entry, _ *tlb.Request) int {
-	if w := tlb.InvalidWay(set); w >= 0 {
-		return w
-	}
+func (p *ProbLRU) Victim(si int, set []tlb.Entry, stack *replacement.Stack, _ *tlb.Request) int {
 	victimClass := arch.InstrClass
 	if p.nextFloat() < p.p {
 		victimClass = arch.DataClass
 	}
-	if w := lruOfClass(set, victimClass); w >= 0 {
-		return w
+	order := stack.Order(si)
+	for pos := len(order) - 1; pos >= 0; pos-- {
+		if w := int(order[pos]); set[w].Class == victimClass {
+			return w
+		}
 	}
-	return tlb.StackLRUVictim(set)
+	return stack.LRU(si)
 }
 
 // OnFill implements tlb.Policy.
 //
 //itp:hotpath
-func (*ProbLRU) OnFill(_ int, set []tlb.Entry, way int, _ *tlb.Request) {
-	tlb.MoveToStackPos(set, way, 0)
+func (*ProbLRU) OnFill(si int, _ []tlb.Entry, stack *replacement.Stack, way int, _ *tlb.Request) {
+	stack.Move(si, way, 0)
 }
 
 // OnHit implements tlb.Policy.
 //
 //itp:hotpath
-func (*ProbLRU) OnHit(_ int, set []tlb.Entry, way int, _ *tlb.Request) {
-	tlb.MoveToStackPos(set, way, 0)
+func (*ProbLRU) OnHit(si int, _ []tlb.Entry, stack *replacement.Stack, way int, _ *tlb.Request) {
+	stack.Move(si, way, 0)
 }
 
 // OnEvict implements tlb.Policy.

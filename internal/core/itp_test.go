@@ -5,19 +5,21 @@ import (
 
 	"itpsim/internal/arch"
 	"itpsim/internal/config"
+	"itpsim/internal/replacement"
 	"itpsim/internal/tlb"
 )
 
 func itpParams() config.ITPParams { return config.ITPParams{N: 4, M: 8, FreqBits: 3} }
 
-func fullSet(ways int) []tlb.Entry {
+// fullSet returns one full TLB set and its recency stack, way i at
+// position i.
+func fullSet(ways int) ([]tlb.Entry, *replacement.Stack) {
 	set := make([]tlb.Entry, ways)
-	tlb.InitSet(set)
 	for i := range set {
 		set[i].Valid = true
 		set[i].VPN = uint64(100 + i)
 	}
-	return set
+	return set, replacement.NewStack(1, ways)
 }
 
 func instrReq() *tlb.Request { return &tlb.Request{Class: arch.InstrClass} }
@@ -25,25 +27,25 @@ func dataReq() *tlb.Request  { return &tlb.Request{Class: arch.DataClass} }
 
 func TestITPInsertData(t *testing.T) {
 	p := NewITP(itpParams())
-	set := fullSet(12)
+	set, st := fullSet(12)
 	set[5].Class = arch.DataClass
-	p.OnFill(0, set, 5, dataReq())
-	if int(set[5].Stack) != 11 {
-		t.Errorf("data insert at stack %d, want 11 (LRUpos)", set[5].Stack)
+	p.OnFill(0, set, st, 5, dataReq())
+	if st.Pos(0, 5) != 11 {
+		t.Errorf("data insert at stack %d, want 11 (LRUpos)", st.Pos(0, 5))
 	}
-	if !tlb.CheckStackInvariant(set) {
+	if !st.IsPermutation(0) {
 		t.Error("stack invariant broken")
 	}
 }
 
 func TestITPInsertInstruction(t *testing.T) {
 	p := NewITP(itpParams())
-	set := fullSet(12)
+	set, st := fullSet(12)
 	set[3].Class = arch.InstrClass
 	set[3].Freq = 5 // stale value from previous occupant
-	p.OnFill(0, set, 3, instrReq())
-	if int(set[3].Stack) != 4 {
-		t.Errorf("instr insert at stack %d, want 4 (MRUpos-N)", set[3].Stack)
+	p.OnFill(0, set, st, 3, instrReq())
+	if st.Pos(0, 3) != 4 {
+		t.Errorf("instr insert at stack %d, want 4 (MRUpos-N)", st.Pos(0, 3))
 	}
 	if set[3].Freq != 0 {
 		t.Errorf("Freq = %d, want 0 on insertion", set[3].Freq)
@@ -52,28 +54,28 @@ func TestITPInsertInstruction(t *testing.T) {
 
 func TestITPInstructionPromotionLadder(t *testing.T) {
 	p := NewITP(itpParams())
-	set := fullSet(12)
+	set, st := fullSet(12)
 	set[0].Class = arch.InstrClass
-	p.OnFill(0, set, 0, instrReq())
+	p.OnFill(0, set, st, 0, instrReq())
 	// Non-saturated hits stay at MRUpos-N and increment Freq.
 	for i := 1; i <= 6; i++ {
-		p.OnHit(0, set, 0, instrReq())
-		if int(set[0].Stack) != 4 {
-			t.Fatalf("hit %d: stack %d, want 4", i, set[0].Stack)
+		p.OnHit(0, set, st, 0, instrReq())
+		if st.Pos(0, 0) != 4 {
+			t.Fatalf("hit %d: stack %d, want 4", i, st.Pos(0, 0))
 		}
 		if set[0].Freq != uint8(i) {
 			t.Fatalf("hit %d: freq %d, want %d", i, set[0].Freq, i)
 		}
 	}
 	// 7th hit saturates (3-bit max = 7).
-	p.OnHit(0, set, 0, instrReq())
+	p.OnHit(0, set, st, 0, instrReq())
 	if set[0].Freq != 7 {
 		t.Fatalf("freq = %d, want 7", set[0].Freq)
 	}
 	// Saturated entry now promotes to MRUpos.
-	p.OnHit(0, set, 0, instrReq())
-	if set[0].Stack != 0 {
-		t.Errorf("saturated hit: stack %d, want 0 (MRUpos)", set[0].Stack)
+	p.OnHit(0, set, st, 0, instrReq())
+	if st.Pos(0, 0) != 0 {
+		t.Errorf("saturated hit: stack %d, want 0 (MRUpos)", st.Pos(0, 0))
 	}
 	if set[0].Freq != 7 {
 		t.Errorf("freq should stay saturated, got %d", set[0].Freq)
@@ -82,26 +84,22 @@ func TestITPInstructionPromotionLadder(t *testing.T) {
 
 func TestITPDataPromotion(t *testing.T) {
 	p := NewITP(itpParams())
-	set := fullSet(12)
+	set, st := fullSet(12)
 	set[2].Class = arch.DataClass
-	p.OnFill(0, set, 2, dataReq())
-	p.OnHit(0, set, 2, dataReq())
+	p.OnFill(0, set, st, 2, dataReq())
+	p.OnHit(0, set, st, 2, dataReq())
 	// LRUpos + M with M=8 and 12 ways: stack position 11-8 = 3.
-	if int(set[2].Stack) != 3 {
-		t.Errorf("data promotion to stack %d, want 3 (LRUpos+M)", set[2].Stack)
+	if st.Pos(0, 2) != 3 {
+		t.Errorf("data promotion to stack %d, want 3 (LRUpos+M)", st.Pos(0, 2))
 	}
 }
 
 func TestITPVictimIsLRU(t *testing.T) {
 	p := NewITP(itpParams())
-	set := fullSet(12)
-	v := p.Victim(0, set, dataReq())
-	if int(set[v].Stack) != 11 {
-		t.Errorf("victim at stack %d, want 11", set[v].Stack)
-	}
-	set[7].Valid = false
-	if v := p.Victim(0, set, dataReq()); v != 7 {
-		t.Errorf("victim = %d, want invalid way 7", v)
+	set, st := fullSet(12)
+	v := p.Victim(0, set, st, dataReq())
+	if st.Pos(0, v) != 11 {
+		t.Errorf("victim at stack %d, want 11", st.Pos(0, v))
 	}
 }
 
@@ -155,26 +153,26 @@ func TestITPColdInstructionsAgeOut(t *testing.T) {
 func TestITPSmallAssociativityClamps(t *testing.T) {
 	// N=4 with a 2-way structure must clamp, not panic.
 	p := NewITP(config.ITPParams{N: 4, M: 8, FreqBits: 3})
-	set := fullSet(2)
-	p.OnFill(0, set, 0, instrReq())
-	if int(set[0].Stack) >= len(set) {
+	set, st := fullSet(2)
+	p.OnFill(0, set, st, 0, instrReq())
+	if st.Pos(0, 0) >= len(set) {
 		t.Error("insertion position not clamped")
 	}
-	p.OnHit(0, set, 1, dataReq())
-	if !tlb.CheckStackInvariant(set) {
+	p.OnHit(0, set, st, 1, dataReq())
+	if !st.IsPermutation(0) {
 		t.Error("invariant broken on small set")
 	}
 }
 
 func TestProbLRUAlwaysData(t *testing.T) {
 	p := NewProbLRU(1.0, 42) // always evict data
-	set := fullSet(4)
+	set, st := fullSet(4)
 	set[0].Class = arch.InstrClass
 	set[1].Class = arch.DataClass
 	set[2].Class = arch.InstrClass
 	set[3].Class = arch.DataClass
 	for i := 0; i < 20; i++ {
-		v := p.Victim(0, set, dataReq())
+		v := p.Victim(0, set, st, dataReq())
 		if set[v].Class != arch.DataClass {
 			t.Fatalf("P=1.0 evicted an instruction entry (way %d)", v)
 		}
@@ -183,11 +181,11 @@ func TestProbLRUAlwaysData(t *testing.T) {
 
 func TestProbLRUAlwaysInstr(t *testing.T) {
 	p := NewProbLRU(0.0, 42)
-	set := fullSet(4)
+	set, st := fullSet(4)
 	set[0].Class = arch.InstrClass
 	set[1].Class = arch.DataClass
 	for i := 0; i < 20; i++ {
-		v := p.Victim(0, set, dataReq())
+		v := p.Victim(0, set, st, dataReq())
 		if set[v].Class != arch.InstrClass {
 			t.Fatalf("P=0 evicted a data entry (way %d)", v)
 		}
@@ -196,26 +194,26 @@ func TestProbLRUAlwaysInstr(t *testing.T) {
 
 func TestProbLRUFallsBackWhenClassAbsent(t *testing.T) {
 	p := NewProbLRU(1.0, 42)
-	set := fullSet(4)
+	set, st := fullSet(4)
 	for i := range set {
 		set[i].Class = arch.InstrClass // no data entries at all
 	}
-	v := p.Victim(0, set, dataReq())
-	if int(set[v].Stack) != 3 {
-		t.Errorf("fallback should evict overall LRU, got stack %d", set[v].Stack)
+	v := p.Victim(0, set, st, dataReq())
+	if st.Pos(0, v) != 3 {
+		t.Errorf("fallback should evict overall LRU, got stack %d", st.Pos(0, v))
 	}
 }
 
 func TestProbLRUVictimsEvictsLRUOfClass(t *testing.T) {
 	p := NewProbLRU(1.0, 7)
-	set := fullSet(4)
+	set, st := fullSet(4)
 	set[0].Class = arch.DataClass
 	set[1].Class = arch.DataClass
 	set[2].Class = arch.InstrClass
 	set[3].Class = arch.InstrClass
 	// Make way 0 more recent than way 1.
-	tlb.MoveToStackPos(set, 0, 0)
-	v := p.Victim(0, set, dataReq())
+	st.Move(0, 0, 0)
+	v := p.Victim(0, set, st, dataReq())
 	if v != 1 {
 		t.Errorf("victim = %d, want LRU data way 1", v)
 	}
@@ -223,7 +221,7 @@ func TestProbLRUVictimsEvictsLRUOfClass(t *testing.T) {
 
 func TestProbLRUSplitRoughlyMatchesP(t *testing.T) {
 	p := NewProbLRU(0.8, 99)
-	set := fullSet(8)
+	set, st := fullSet(8)
 	for i := range set {
 		if i%2 == 0 {
 			set[i].Class = arch.DataClass
@@ -234,7 +232,7 @@ func TestProbLRUSplitRoughlyMatchesP(t *testing.T) {
 	dataEvicts := 0
 	const trials = 5000
 	for i := 0; i < trials; i++ {
-		v := p.Victim(0, set, dataReq())
+		v := p.Victim(0, set, st, dataReq())
 		if set[v].Class == arch.DataClass {
 			dataEvicts++
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"itpsim/internal/arch"
+	"itpsim/internal/cache"
 	"itpsim/internal/config"
 	"itpsim/internal/replacement"
 	"itpsim/internal/tlb"
@@ -12,25 +13,26 @@ import (
 
 // randomSet builds a full cache set with a random recency permutation and
 // random data-PTE marking.
-func randomSet(rng *rand.Rand, ways int, pteProb float64) []replacement.Line {
+func randomSet(rng *rand.Rand, ways int, pteProb float64) ([]replacement.Line, *replacement.Stack) {
 	set := make([]replacement.Line, ways)
-	perm := rng.Perm(ways)
+	st := replacement.NewStack(1, ways)
+	for pos, w := range rng.Perm(ways) {
+		st.Move(0, w, pos)
+	}
 	for i := range set {
 		set[i] = replacement.Line{
 			Valid:     true,
 			Tag:       uint64(i),
-			Stack:     uint8(perm[i]),
 			IsDataPTE: rng.Float64() < pteProb,
 		}
 	}
-	return set
+	return set, st
 }
 
 // TestXPTPVictimProperties checks Figure 6's eviction rules hold on
 // randomly generated sets for every K:
 //
 //   - the victim is always a valid way index;
-//   - an invalid way, when present, is always preferred;
 //   - when the victim is not the true-LRU block, it never holds a data
 //     PTE and sits fewer than K positions above the stack bottom;
 //   - when the victim IS the true-LRU block despite a non-data-PTE
@@ -41,8 +43,8 @@ func TestXPTPVictimProperties(t *testing.T) {
 		pol := NewXPTP(config.XPTPParams{K: k})
 		for trial := 0; trial < 2000; trial++ {
 			ways := 4 << rng.Intn(3) // 4, 8, 16
-			set := randomSet(rng, ways, rng.Float64())
-			v := pol.Victim(0, set, nil)
+			set, st := randomSet(rng, ways, rng.Float64())
+			v := pol.Victim(0, set, st, nil)
 			if v < 0 || v >= ways {
 				t.Fatalf("K=%d: victim %d out of range", k, v)
 			}
@@ -50,7 +52,7 @@ func TestXPTPVictimProperties(t *testing.T) {
 			lru, lruDepth := -1, -1
 			alt, altDepth := -1, -1
 			for i := range set {
-				pos := int(set[i].Stack)
+				pos := st.Pos(0, i)
 				if pos > lruDepth {
 					lru, lruDepth = i, pos
 				}
@@ -82,15 +84,30 @@ func TestXPTPVictimProperties(t *testing.T) {
 	}
 }
 
+// TestXPTPPrefersInvalidWay checks that a cache running xPTP fills a
+// free way whenever its set has one, however the data PTEs and the
+// recency order are arranged: xPTP's victim rule only sees full sets.
 func TestXPTPPrefersInvalidWay(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	pol := NewXPTP(config.XPTPParams{K: 8})
+	geom := config.CacheConfig{Sets: 1, Ways: 8, Latency: 5, MSHRs: 4}
 	for trial := 0; trial < 500; trial++ {
-		set := randomSet(rng, 8, 0.5)
-		dead := rng.Intn(8)
-		set[dead].Valid = false
-		if v := pol.Victim(0, set, nil); set[v].Valid {
-			t.Fatalf("victim %d is valid though way %d was free", v, dead)
+		c := cache.New("l2c", geom, NewXPTP(config.XPTPParams{K: 8}), flatLevel{}, nil)
+		n := 1 + rng.Intn(geom.Ways)
+		now := uint64(0)
+		for b := 0; b < n; b++ {
+			for _, blk := range []int{b, rng.Intn(b + 1)} { // fill, then reorder with a hit
+				now += 1000
+				acc := arch.Access{Addr: arch.Addr(blk) << arch.BlockBits, Kind: arch.Load}
+				if rng.Intn(2) == 0 {
+					acc.Kind, acc.IsPTE, acc.Class = arch.PTW, true, arch.DataClass
+				}
+				c.Access(now, &acc)
+			}
+		}
+		for b := 0; b < n; b++ {
+			if !c.Contains(arch.Addr(b)<<arch.BlockBits, 0) {
+				t.Fatalf("trial %d: block %d evicted though the set had a free way for each of %d blocks", trial, b, n)
+			}
 		}
 	}
 }
@@ -103,9 +120,9 @@ func TestAdaptiveXPTPDisabledIsLRU(t *testing.T) {
 	enabled := false
 	pol := NewAdaptiveXPTP(config.XPTPParams{K: 8}, func() bool { return enabled })
 	for trial := 0; trial < 1000; trial++ {
-		set := randomSet(rng, 8, 0.7)
-		want := replacement.StackLRUVictim(set)
-		if v := pol.Victim(0, set, nil); v != want {
+		set, st := randomSet(rng, 8, 0.7)
+		want := st.LRU(0)
+		if v := pol.Victim(0, set, st, nil); v != want {
 			t.Fatalf("disabled xPTP chose %d, plain LRU chooses %d", v, want)
 		}
 	}
@@ -113,8 +130,8 @@ func TestAdaptiveXPTPDisabledIsLRU(t *testing.T) {
 	enabled = true
 	protective := false
 	for trial := 0; trial < 1000; trial++ {
-		set := randomSet(rng, 8, 0.7)
-		if pol.Victim(0, set, nil) != replacement.StackLRUVictim(set) {
+		set, st := randomSet(rng, 8, 0.7)
+		if pol.Victim(0, set, st, nil) != st.LRU(0) {
 			protective = true
 			break
 		}
@@ -125,35 +142,55 @@ func TestAdaptiveXPTPDisabledIsLRU(t *testing.T) {
 }
 
 // itpModel drives the iTP policy through a single fully-associative TLB
-// set with the simulator's miss/fill protocol.
+// set with the simulator's miss/fill protocol: the deepest invalid way
+// first, the policy's victim once the set is full.
 type itpModel struct {
 	p   *ITP
 	set []tlb.Entry
+	st  *replacement.Stack
+}
+
+func (m *itpModel) full() bool {
+	for i := range m.set {
+		if !m.set[i].Valid {
+			return false
+		}
+	}
+	return true
 }
 
 func (m *itpModel) touch(vpn uint64, class arch.Class) {
 	req := &tlb.Request{VPN: vpn, Class: class}
 	for i := range m.set {
 		if m.set[i].Valid && m.set[i].VPN == vpn {
-			m.p.OnHit(0, m.set, i, req)
+			m.p.OnHit(0, m.set, m.st, i, req)
 			return
 		}
 	}
-	way := m.p.Victim(0, m.set, req)
-	m.set[way] = tlb.Entry{Valid: true, VPN: vpn, Class: class, Stack: m.set[way].Stack}
-	m.p.OnFill(0, m.set, way, req)
+	way := -1
+	order := m.st.Order(0)
+	for pos := len(order) - 1; pos >= 0 && way < 0; pos-- {
+		if !m.set[order[pos]].Valid {
+			way = int(order[pos])
+		}
+	}
+	if way < 0 {
+		way = m.p.Victim(0, m.set, m.st, req)
+	}
+	m.set[way] = tlb.Entry{Valid: true, VPN: vpn, Class: class}
+	m.p.OnFill(0, m.set, m.st, way, req)
 }
 
 // TestITPVictimClassProperty checks the Section 4.1 victim behaviour over
-// random mixed streams: the victim is always the deepest-stacked entry
-// (plain LRU eviction), and — because data inserts at LRUpos while
-// instruction entries insert N below MRU — an instruction entry is never
-// victimised while a valid data entry sits deeper in the stack.
+// random mixed streams: the victim of a full set is always the
+// deepest-stacked entry (plain LRU eviction), and — because data inserts
+// at LRUpos while instruction entries insert N below MRU — an
+// instruction entry is never victimised while a valid data entry sits
+// deeper in the stack.
 func TestITPVictimClassProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	p := NewITP(config.Default().ITP)
-	m := &itpModel{p: p, set: make([]tlb.Entry, 16)}
-	tlb.InitSet(m.set)
+	m := &itpModel{p: p, set: make([]tlb.Entry, 16), st: replacement.NewStack(1, 16)}
 	for step := 0; step < 20000; step++ {
 		vpn := uint64(rng.Intn(48) + 1)
 		class := arch.DataClass
@@ -161,28 +198,15 @@ func TestITPVictimClassProperty(t *testing.T) {
 			class = arch.InstrClass
 		}
 
-		req := &tlb.Request{VPN: vpn, Class: class}
-		v := p.Victim(0, m.set, req)
-		deepest := -1
-		for i := range m.set {
-			if deepest < 0 || m.set[i].Stack > m.set[deepest].Stack {
-				deepest = i
-			}
-		}
-		full := true
-		for i := range m.set {
-			if !m.set[i].Valid {
-				full = false
-			}
-		}
-		if full {
-			if v != deepest {
-				t.Fatalf("step %d: victim %d (stack %d) is not the LRU entry %d (stack %d)",
-					step, v, m.set[v].Stack, deepest, m.set[deepest].Stack)
+		if m.full() {
+			v := p.Victim(0, m.set, m.st, &tlb.Request{VPN: vpn, Class: class})
+			if deepest := m.st.LRU(0); v != deepest {
+				t.Fatalf("step %d: victim %d (stack %d) is not the LRU entry %d",
+					step, v, m.st.Pos(0, v), deepest)
 			}
 			if m.set[v].Class == arch.InstrClass {
 				for i := range m.set {
-					if m.set[i].Valid && m.set[i].Class == arch.DataClass && m.set[i].Stack > m.set[v].Stack {
+					if m.set[i].Class == arch.DataClass && m.st.Pos(0, i) > m.st.Pos(0, v) {
 						t.Fatalf("step %d: victimised instruction entry above a data entry", step)
 					}
 				}
@@ -190,7 +214,7 @@ func TestITPVictimClassProperty(t *testing.T) {
 		}
 
 		m.touch(vpn, class)
-		if !tlb.CheckStackInvariant(m.set) {
+		if !m.st.IsPermutation(0) {
 			t.Fatalf("step %d: stack invariant broken", step)
 		}
 	}
@@ -203,7 +227,7 @@ func TestITPInsertionPositions(t *testing.T) {
 	p := NewITP(params)
 	const ways = 16
 	set := make([]tlb.Entry, ways)
-	tlb.InitSet(set)
+	st := replacement.NewStack(1, ways)
 	for i := range set {
 		set[i].Valid = true
 		set[i].VPN = uint64(i + 1)
@@ -211,23 +235,23 @@ func TestITPInsertionPositions(t *testing.T) {
 	}
 
 	// Data fill lands at LRUpos.
-	p.OnFill(0, set, 3, &tlb.Request{Class: arch.DataClass})
-	if got := int(set[3].Stack); got != ways-1 {
+	p.OnFill(0, set, st, 3, &tlb.Request{Class: arch.DataClass})
+	if got := st.Pos(0, 3); got != ways-1 {
 		t.Fatalf("data fill at stack %d, want LRUpos %d", got, ways-1)
 	}
 	// Instruction fill lands N below MRU with Freq reset.
 	set[5].Freq = 3
 	set[5].Class = arch.InstrClass
-	p.OnFill(0, set, 5, &tlb.Request{Class: arch.InstrClass})
-	if got := int(set[5].Stack); got != params.N {
+	p.OnFill(0, set, st, 5, &tlb.Request{Class: arch.InstrClass})
+	if got := st.Pos(0, 5); got != params.N {
 		t.Fatalf("instruction fill at stack %d, want N=%d", got, params.N)
 	}
 	if set[5].Freq != 0 {
 		t.Fatalf("instruction fill kept Freq=%d, want reset", set[5].Freq)
 	}
 	// Non-saturated instruction hit repromotes to N and increments Freq.
-	p.OnHit(0, set, 5, &tlb.Request{Class: arch.InstrClass})
-	if got := int(set[5].Stack); got != params.N {
+	p.OnHit(0, set, st, 5, &tlb.Request{Class: arch.InstrClass})
+	if got := st.Pos(0, 5); got != params.N {
 		t.Fatalf("instruction hit at stack %d, want N=%d", got, params.N)
 	}
 	if set[5].Freq != 1 {
@@ -235,13 +259,13 @@ func TestITPInsertionPositions(t *testing.T) {
 	}
 	// Saturated instruction hit reaches MRU.
 	set[5].Freq = uint8(1<<params.FreqBits - 1)
-	p.OnHit(0, set, 5, &tlb.Request{Class: arch.InstrClass})
-	if got := int(set[5].Stack); got != 0 {
+	p.OnHit(0, set, st, 5, &tlb.Request{Class: arch.InstrClass})
+	if got := st.Pos(0, 5); got != 0 {
 		t.Fatalf("saturated instruction hit at stack %d, want MRU", got)
 	}
 	// Data hit moves to LRUpos+M.
-	p.OnHit(0, set, 7, &tlb.Request{Class: arch.DataClass})
-	if got, want := int(set[7].Stack), ways-1-params.M; got != want {
+	p.OnHit(0, set, st, 7, &tlb.Request{Class: arch.DataClass})
+	if got, want := st.Pos(0, 7), ways-1-params.M; got != want {
 		t.Fatalf("data hit at stack %d, want LRUpos+M=%d", got, want)
 	}
 }

@@ -47,37 +47,28 @@ func (x *XPTP) Name() string { return "xptp" }
 // Victim implements replacement.Policy.
 //
 //itp:hotpath
-func (x *XPTP) Victim(_ int, set []replacement.Line, _ *arch.Access) int {
-	if w := replacement.InvalidWay(set); w >= 0 {
-		return w
-	}
-	lruVictim, lruDepth := 0, -1
-	altVictim, altDepth := -1, -1
-	for i := range set {
-		pos := int(set[i].Stack)
-		if pos > lruDepth {
-			lruVictim, lruDepth = i, pos
-		}
-		if !set[i].IsDataPTE && pos > altDepth {
-			altVictim, altDepth = i, pos
-		}
-	}
+func (x *XPTP) Victim(si int, set []replacement.Line, stack *replacement.Stack, _ *arch.Access) int {
+	order := stack.Order(si)
+	lru := int(order[len(order)-1])
 	//itp:nonalloc — bound at construction to Controller.Enabled, a field read
 	if x.enabled != nil && !x.enabled() {
-		return lruVictim // adaptive fallback: plain LRU
+		return lru // adaptive fallback: plain LRU
 	}
-	if altVictim < 0 {
-		// Every block holds a data PTE; evict the LRU one.
-		return lruVictim
+	// The alternative is the deepest block without a data PTE. Positions
+	// count from the bottom of the stack, where the LRU victim sits at
+	// distance 0: the inequality ALT_LRUpos >= LRUpos + K asks whether
+	// the alternative is at least K recency positions above the bottom.
+	for pos := len(order) - 1; pos >= 0; pos-- {
+		w := int(order[pos])
+		if set[w].IsDataPTE {
+			continue
+		}
+		if len(order)-1-pos >= x.k {
+			return lru
+		}
+		return w
 	}
-	// Positions from the bottom of the stack: LRU victim is at distance
-	// 0; the inequality ALT_LRUpos >= LRUpos + K asks whether the
-	// alternative is at least K recency positions above the bottom.
-	altFromBottom := (len(set) - 1) - altDepth
-	if altFromBottom >= x.k {
-		return lruVictim
-	}
-	return altVictim
+	return lru // every block holds a data PTE
 }
 
 // OnFill implements replacement.Policy: LRU insertion at MRU (the Type
@@ -85,15 +76,15 @@ func (x *XPTP) Victim(_ int, set []replacement.Line, _ *arch.Access) int {
 // Figure 7).
 //
 //itp:hotpath
-func (*XPTP) OnFill(_ int, set []replacement.Line, way int, _ *arch.Access) {
-	replacement.MoveToStackPos(set, way, 0)
+func (*XPTP) OnFill(si int, _ []replacement.Line, stack *replacement.Stack, way int, _ *arch.Access) {
+	stack.Move(si, way, 0)
 }
 
 // OnHit implements replacement.Policy: LRU promotion.
 //
 //itp:hotpath
-func (*XPTP) OnHit(_ int, set []replacement.Line, way int, _ *arch.Access) {
-	replacement.MoveToStackPos(set, way, 0)
+func (*XPTP) OnHit(si int, _ []replacement.Line, stack *replacement.Stack, way int, _ *arch.Access) {
+	stack.Move(si, way, 0)
 }
 
 // OnEvict implements replacement.Policy.

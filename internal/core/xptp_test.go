@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"itpsim/internal/arch"
+	"itpsim/internal/cache"
 	"itpsim/internal/config"
 	"itpsim/internal/replacement"
 )
@@ -12,30 +14,31 @@ func xptpParams() config.XPTPParams {
 	return config.XPTPParams{K: 8, T1: 1, WindowInstr: 1000}
 }
 
-func cacheSet(ways int) []replacement.Line {
+// cacheSet returns one full cache set and its recency stack, way i at
+// position i.
+func cacheSet(ways int) ([]replacement.Line, *replacement.Stack) {
 	set := make([]replacement.Line, ways)
-	replacement.InitSet(set)
 	for i := range set {
 		set[i].Valid = true
 		set[i].Tag = uint64(i)
 	}
-	return set
+	return set, replacement.NewStack(1, ways)
 }
 
 func TestXPTPProtectsDataPTEs(t *testing.T) {
 	x := NewXPTP(xptpParams()) // K=8 on an 8-way set: alternative always wins
-	set := cacheSet(8)
+	set, st := cacheSet(8)
 	// The LRU block (deepest stack) holds a data PTE.
-	lruWay := replacement.StackPosOf(set, 7)
+	lruWay := int(st.Order(0)[7])
 	set[lruWay].IsPTE = true
 	set[lruWay].IsDataPTE = true
-	v := x.Victim(0, set, &arch.Access{})
+	v := x.Victim(0, set, st, &arch.Access{})
 	if v == lruWay {
 		t.Error("xPTP evicted the data-PTE LRU block")
 	}
 	// Victim should be the deepest non-data-PTE block (stack 6).
-	if int(set[v].Stack) != 6 {
-		t.Errorf("victim at stack %d, want 6", set[v].Stack)
+	if st.Pos(0, v) != 6 {
+		t.Errorf("victim at stack %d, want 6", st.Pos(0, v))
 	}
 }
 
@@ -43,78 +46,87 @@ func TestXPTPInequalityEvictsPTEWhenAltTooRecent(t *testing.T) {
 	// K=2: if the best alternative is within 2 positions of the stack
 	// bottom we evict it; otherwise the data PTE goes.
 	x := NewXPTP(config.XPTPParams{K: 2})
-	set := cacheSet(8)
+	set, st := cacheSet(8)
 	// Bottom three stack positions hold data PTEs; the best alternative
 	// is at stack 4 → 3 positions above bottom ≥ K → evict the LRU PTE.
 	for _, pos := range []int{7, 6, 5} {
-		w := replacement.StackPosOf(set, pos)
+		w := int(st.Order(0)[pos])
 		set[w].IsDataPTE = true
 		set[w].IsPTE = true
 	}
-	v := x.Victim(0, set, &arch.Access{})
-	if int(set[v].Stack) != 7 || !set[v].IsDataPTE {
-		t.Errorf("expected LRU data-PTE eviction, got stack %d (pte=%v)", set[v].Stack, set[v].IsDataPTE)
+	v := x.Victim(0, set, st, &arch.Access{})
+	if st.Pos(0, v) != 7 || !set[v].IsDataPTE {
+		t.Errorf("expected LRU data-PTE eviction, got stack %d (pte=%v)", st.Pos(0, v), set[v].IsDataPTE)
 	}
 
 	// Now only the bottom one is a PTE; alternative at stack 6 is 1
 	// position above bottom < K → evict the alternative.
-	set2 := cacheSet(8)
-	w := replacement.StackPosOf(set2, 7)
+	set2, st2 := cacheSet(8)
+	w := int(st2.Order(0)[7])
 	set2[w].IsDataPTE = true
-	v2 := x.Victim(0, set2, &arch.Access{})
-	if int(set2[v2].Stack) != 6 {
-		t.Errorf("expected alternative eviction at stack 6, got %d", set2[v2].Stack)
+	v2 := x.Victim(0, set2, st2, &arch.Access{})
+	if st2.Pos(0, v2) != 6 {
+		t.Errorf("expected alternative eviction at stack 6, got %d", st2.Pos(0, v2))
 	}
 }
 
 func TestXPTPAllDataPTEsFallsBack(t *testing.T) {
 	x := NewXPTP(xptpParams())
-	set := cacheSet(8)
+	set, st := cacheSet(8)
 	for i := range set {
 		set[i].IsDataPTE = true
 	}
-	v := x.Victim(0, set, &arch.Access{})
-	if int(set[v].Stack) != 7 {
-		t.Errorf("all-PTE set should evict LRU, got stack %d", set[v].Stack)
+	v := x.Victim(0, set, st, &arch.Access{})
+	if st.Pos(0, v) != 7 {
+		t.Errorf("all-PTE set should evict LRU, got stack %d", st.Pos(0, v))
 	}
 }
 
+// TestXPTPPrefersInvalid fills a cache set up to its last free way with
+// a data PTE at the bottom of the stack: the last fill takes the free
+// way instead of running xPTP's victim rule, so nothing is evicted.
 func TestXPTPPrefersInvalid(t *testing.T) {
-	x := NewXPTP(xptpParams())
-	set := cacheSet(8)
-	set[3].Valid = false
-	if v := x.Victim(0, set, &arch.Access{}); v != 3 {
-		t.Errorf("victim = %d, want invalid way 3", v)
+	c := cache.New("l2c", config.CacheConfig{Sets: 1, Ways: 8, Latency: 5, MSHRs: 4},
+		NewXPTP(xptpParams()), flatLevel{}, nil)
+	pte := arch.Access{Addr: 0, Kind: arch.PTW, IsPTE: true, Class: arch.DataClass}
+	c.Access(0, &pte)
+	for b := 1; b < 8; b++ {
+		c.Access(uint64(b)*1000, &arch.Access{Addr: arch.Addr(b) << arch.BlockBits, Kind: arch.Load})
+	}
+	for b := 0; b < 8; b++ {
+		if !c.Contains(arch.Addr(b)<<arch.BlockBits, 0) {
+			t.Errorf("block %d evicted from a set that had a free way", b)
+		}
 	}
 }
 
 func TestXPTPDisabledIsLRU(t *testing.T) {
 	enabled := false
 	x := NewAdaptiveXPTP(xptpParams(), func() bool { return enabled })
-	set := cacheSet(8)
-	lruWay := replacement.StackPosOf(set, 7)
+	set, st := cacheSet(8)
+	lruWay := int(st.Order(0)[7])
 	set[lruWay].IsDataPTE = true
-	if v := x.Victim(0, set, &arch.Access{}); v != lruWay {
+	if v := x.Victim(0, set, st, &arch.Access{}); v != lruWay {
 		t.Error("disabled xPTP should behave as plain LRU")
 	}
 	enabled = true
-	if v := x.Victim(0, set, &arch.Access{}); v == lruWay {
+	if v := x.Victim(0, set, st, &arch.Access{}); v == lruWay {
 		t.Error("enabled xPTP should protect the data PTE")
 	}
 }
 
 func TestXPTPFillAndHitAreLRU(t *testing.T) {
 	x := NewXPTP(xptpParams())
-	set := cacheSet(8)
-	x.OnFill(0, set, 5, &arch.Access{})
-	if set[5].Stack != 0 {
+	set, st := cacheSet(8)
+	x.OnFill(0, set, st, 5, &arch.Access{})
+	if st.Pos(0, 5) != 0 {
 		t.Error("fill should insert at MRU")
 	}
-	x.OnHit(0, set, 2, &arch.Access{})
-	if set[2].Stack != 0 {
+	x.OnHit(0, set, st, 2, &arch.Access{})
+	if st.Pos(0, 2) != 0 {
 		t.Error("hit should promote to MRU")
 	}
-	if !replacement.CheckStackInvariant(set) {
+	if !st.IsPermutation(0) {
 		t.Error("invariant broken")
 	}
 }
@@ -201,8 +213,8 @@ func TestControllerDefaultWindow(t *testing.T) {
 func TestXPTPEquivalentToLRUWithoutPTEs(t *testing.T) {
 	x := NewXPTP(xptpParams())
 	l := replacement.NewLRU()
-	setX := cacheSet(8)
-	setL := cacheSet(8)
+	setX, stX := cacheSet(8)
+	setL, stL := cacheSet(8)
 	rng := uint64(77)
 	next := func(n int) int {
 		rng ^= rng << 13
@@ -214,27 +226,25 @@ func TestXPTPEquivalentToLRUWithoutPTEs(t *testing.T) {
 		acc := &arch.Access{Addr: uint64(next(64)) << 6, Kind: arch.Load}
 		switch next(3) {
 		case 0:
-			vx := x.Victim(0, setX, acc)
-			vl := l.Victim(0, setL, acc)
+			vx := x.Victim(0, setX, stX, acc)
+			vl := l.Victim(0, setL, stL, acc)
 			if vx != vl {
 				t.Fatalf("op %d: victims diverged (%d vs %d)", op, vx, vl)
 			}
 			setX[vx].Valid, setL[vl].Valid = true, true
-			x.OnFill(0, setX, vx, acc)
-			l.OnFill(0, setL, vl, acc)
+			x.OnFill(0, setX, stX, vx, acc)
+			l.OnFill(0, setL, stL, vl, acc)
 		case 1:
 			w := next(8)
-			x.OnHit(0, setX, w, acc)
-			l.OnHit(0, setL, w, acc)
+			x.OnHit(0, setX, stX, w, acc)
+			l.OnHit(0, setL, stL, w, acc)
 		default:
 			w := next(8)
 			x.OnEvict(0, setX, w)
 			l.OnEvict(0, setL, w)
 		}
-		for i := range setX {
-			if setX[i].Stack != setL[i].Stack {
-				t.Fatalf("op %d: stacks diverged at way %d", op, i)
-			}
+		if !slices.Equal(stX.Order(0), stL.Order(0)) {
+			t.Fatalf("op %d: stacks diverged: %v vs %v", op, stX.Order(0), stL.Order(0))
 		}
 	}
 }

@@ -69,7 +69,9 @@ type checkpoint struct {
 // parse stops at the first unreadable or checksum-failing record — a torn
 // tail must not hide valid records behind it, and a corrupt middle means
 // everything after it is untrustworthy. Legacy v1 input keeps its
-// skip-and-continue semantics, then upgrades wholesale.
+// skip-and-continue semantics, then upgrades wholesale. A record needs a
+// key and a result: re-encoding an absent result would write null, which
+// a later recovery would take for a completed job's zero value.
 func parseCheckpoint(data []byte, logf func(string, ...any)) (map[string]checkpointEntry, int, []byte) {
 	done := make(map[string]checkpointEntry)
 	var canonical bytes.Buffer
@@ -123,7 +125,7 @@ scan:
 		switch version {
 		case 1:
 			var e v1Entry
-			if err := json.Unmarshal(b, &e); err != nil || e.Key == "" {
+			if err := json.Unmarshal(b, &e); err != nil || e.Key == "" || e.Result == nil {
 				logf("harness: checkpoint line %d unreadable (v1), skipping", line)
 				continue
 			}
@@ -140,7 +142,7 @@ scan:
 				break scan
 			}
 			var p checkpointPayload
-			if err := json.Unmarshal(rec.P, &p); err != nil || p.Key == "" {
+			if err := json.Unmarshal(rec.P, &p); err != nil || p.Key == "" || p.Result == nil {
 				logf("harness: checkpoint line %d payload invalid, truncating journal here", line)
 				break scan
 			}

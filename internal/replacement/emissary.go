@@ -69,40 +69,31 @@ func (e *Emissary) decay(pc uint64) {
 	}
 }
 
-// Victim implements Policy: LRU among blocks that are neither critical
-// code nor (to stay composable) currently protected; plain LRU fallback.
-func (e *Emissary) Victim(_ int, set []Line, _ *arch.Access) int {
-	if w := InvalidWay(set); w >= 0 {
-		return w
-	}
-	victim, deepest := -1, -1
-	for i := range set {
-		if set[i].Kind == arch.IFetch && e.critical(set[i].PC) {
-			continue
-		}
-		if int(set[i].Stack) > deepest {
-			victim, deepest = i, int(set[i].Stack)
+// Victim implements Policy: LRU among blocks that are not critical
+// code; plain LRU fallback.
+func (e *Emissary) Victim(si int, set []Line, stack *Stack, _ *arch.Access) int {
+	order := stack.Order(si)
+	for pos := len(order) - 1; pos >= 0; pos-- {
+		if w := int(order[pos]); set[w].Kind != arch.IFetch || !e.critical(set[w].PC) {
+			return w
 		}
 	}
-	if victim >= 0 {
-		return victim
-	}
-	return StackLRUVictim(set)
+	return stack.LRU(si)
 }
 
 // OnFill implements Policy: LRU insertion; instruction misses train the
 // criticality table.
-func (e *Emissary) OnFill(_ int, set []Line, way int, in *arch.Access) {
+func (e *Emissary) OnFill(si int, _ []Line, stack *Stack, way int, in *arch.Access) {
 	if in.Kind == arch.IFetch {
 		e.train(in.PC)
 	}
-	MoveToStackPos(set, way, 0)
+	stack.Move(si, way, 0)
 }
 
 // OnHit implements Policy.
-func (*Emissary) OnHit(_ int, set []Line, way int, _ *arch.Access) {
+func (*Emissary) OnHit(si int, set []Line, stack *Stack, way int, _ *arch.Access) {
 	set[way].Reused = true
-	MoveToStackPos(set, way, 0)
+	stack.Move(si, way, 0)
 }
 
 // OnEvict implements Policy: evicting a *protected* code block that was
@@ -139,44 +130,30 @@ func NewXPTPEmissary(k int) *XPTPEmissary {
 func (*XPTPEmissary) Name() string { return "xptp-emissary" }
 
 // Victim implements Policy.
-func (x *XPTPEmissary) Victim(_ int, set []Line, _ *arch.Access) int {
-	if w := InvalidWay(set); w >= 0 {
+func (x *XPTPEmissary) Victim(si int, set []Line, stack *Stack, _ *arch.Access) int {
+	order := stack.Order(si)
+	lru := int(order[len(order)-1])
+	for pos := len(order) - 1; pos >= 0; pos-- {
+		w := int(order[pos])
+		if set[w].IsDataPTE || set[w].Kind == arch.IFetch && x.em.critical(set[w].PC) {
+			continue
+		}
+		if len(order)-1-pos >= x.k {
+			return lru
+		}
 		return w
 	}
-	lruVictim, lruDepth := 0, -1
-	altVictim, altDepth := -1, -1
-	for i := range set {
-		pos := int(set[i].Stack)
-		if pos > lruDepth {
-			lruVictim, lruDepth = i, pos
-		}
-		if set[i].IsDataPTE {
-			continue
-		}
-		if set[i].Kind == arch.IFetch && x.em.critical(set[i].PC) {
-			continue
-		}
-		if pos > altDepth {
-			altVictim, altDepth = i, pos
-		}
-	}
-	if altVictim < 0 {
-		return lruVictim
-	}
-	if (len(set)-1)-altDepth >= x.k {
-		return lruVictim
-	}
-	return altVictim
+	return lru
 }
 
 // OnFill implements Policy.
-func (x *XPTPEmissary) OnFill(si int, set []Line, way int, in *arch.Access) {
-	x.em.OnFill(si, set, way, in)
+func (x *XPTPEmissary) OnFill(si int, set []Line, stack *Stack, way int, in *arch.Access) {
+	x.em.OnFill(si, set, stack, way, in)
 }
 
 // OnHit implements Policy.
-func (x *XPTPEmissary) OnHit(si int, set []Line, way int, in *arch.Access) {
-	x.em.OnHit(si, set, way, in)
+func (x *XPTPEmissary) OnHit(si int, set []Line, stack *Stack, way int, in *arch.Access) {
+	x.em.OnHit(si, set, stack, way, in)
 }
 
 // OnEvict implements Policy.

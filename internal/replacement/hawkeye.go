@@ -125,23 +125,20 @@ func (h *Hawkeye) observe(setIdx int, block uint64, pc uint64) {
 // Victim implements Policy: evict the first cache-averse (distant RRPV)
 // block; if all are friendly, evict the oldest (highest RRPV after
 // aging) and detrain its PC, as Hawkeye prescribes.
-func (h *Hawkeye) Victim(_ int, set []Line, _ *arch.Access) int {
-	if w := InvalidWay(set); w >= 0 {
-		return w
-	}
+func (h *Hawkeye) Victim(si int, set []Line, stack *Stack, _ *arch.Access) int {
 	for i := range set {
 		if set[i].RRPV >= rrpvMax {
 			return i
 		}
 	}
 	// All friendly: evict the least recent (deepest stack) and detrain.
-	victim := StackLRUVictim(set)
+	victim := stack.LRU(si)
 	h.train(uint32(set[victim].Sig)&uint32(h.predMask), false)
 	return victim
 }
 
 // OnFill implements Policy.
-func (h *Hawkeye) OnFill(setIdx int, set []Line, way int, in *arch.Access) {
+func (h *Hawkeye) OnFill(setIdx int, set []Line, stack *Stack, way int, in *arch.Access) {
 	h.observe(setIdx, set[way].Tag, in.PC)
 	set[way].Sig = uint16(h.sig(in.PC))
 	if h.friendly(in.PC) {
@@ -149,11 +146,11 @@ func (h *Hawkeye) OnFill(setIdx int, set []Line, way int, in *arch.Access) {
 	} else {
 		set[way].RRPV = rrpvMax
 	}
-	MoveToStackPos(set, way, 0)
+	stack.Move(setIdx, way, 0)
 }
 
 // OnHit implements Policy.
-func (h *Hawkeye) OnHit(setIdx int, set []Line, way int, in *arch.Access) {
+func (h *Hawkeye) OnHit(setIdx int, set []Line, stack *Stack, way int, in *arch.Access) {
 	h.observe(setIdx, set[way].Tag, in.PC)
 	set[way].Sig = uint16(h.sig(in.PC))
 	if h.friendly(in.PC) {
@@ -161,7 +158,7 @@ func (h *Hawkeye) OnHit(setIdx int, set []Line, way int, in *arch.Access) {
 	} else {
 		set[way].RRPV = rrpvMax
 	}
-	MoveToStackPos(set, way, 0)
+	stack.Move(setIdx, way, 0)
 }
 
 // OnEvict implements Policy.

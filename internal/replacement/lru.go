@@ -15,22 +15,22 @@ func (*LRU) Name() string { return "lru" }
 // Victim implements Policy: the bottom of the recency stack.
 //
 //itp:hotpath
-func (*LRU) Victim(_ int, set []Line, _ *arch.Access) int {
-	return StackLRUVictim(set)
+func (*LRU) Victim(si int, _ []Line, stack *Stack, _ *arch.Access) int {
+	return stack.LRU(si)
 }
 
 // OnFill implements Policy: insert at MRU.
 //
 //itp:hotpath
-func (*LRU) OnFill(_ int, set []Line, way int, _ *arch.Access) {
-	MoveToStackPos(set, way, 0)
+func (*LRU) OnFill(si int, _ []Line, stack *Stack, way int, _ *arch.Access) {
+	stack.Move(si, way, 0)
 }
 
 // OnHit implements Policy: promote to MRU.
 //
 //itp:hotpath
-func (*LRU) OnHit(_ int, set []Line, way int, _ *arch.Access) {
-	MoveToStackPos(set, way, 0)
+func (*LRU) OnHit(si int, _ []Line, stack *Stack, way int, _ *arch.Access) {
+	stack.Move(si, way, 0)
 }
 
 // OnEvict implements Policy.
@@ -38,9 +38,9 @@ func (*LRU) OnHit(_ int, set []Line, way int, _ *arch.Access) {
 //itp:hotpath
 func (*LRU) OnEvict(int, []Line, int) {}
 
-// Random evicts a uniformly random valid way (invalid ways first). It
-// models the first-level-TLB policy vendors commonly use and serves as a
-// sanity baseline.
+// Random evicts a uniformly random way of a full set. It models the
+// first-level-TLB policy vendors commonly use and serves as a sanity
+// baseline.
 type Random struct {
 	rng xorshift64
 }
@@ -52,22 +52,19 @@ func NewRandom(seed uint64) *Random { return &Random{rng: newXorshift(seed)} }
 func (*Random) Name() string { return "random" }
 
 // Victim implements Policy.
-func (r *Random) Victim(_ int, set []Line, _ *arch.Access) int {
-	if w := InvalidWay(set); w >= 0 {
-		return w
-	}
+func (r *Random) Victim(_ int, set []Line, _ *Stack, _ *arch.Access) int {
 	return int(r.rng.next() % uint64(len(set)))
 }
 
 // OnFill implements Policy (random keeps the stack fresh anyway so other
 // metadata stays meaningful for mixed configurations).
-func (*Random) OnFill(_ int, set []Line, way int, _ *arch.Access) {
-	MoveToStackPos(set, way, 0)
+func (*Random) OnFill(si int, _ []Line, stack *Stack, way int, _ *arch.Access) {
+	stack.Move(si, way, 0)
 }
 
 // OnHit implements Policy.
-func (*Random) OnHit(_ int, set []Line, way int, _ *arch.Access) {
-	MoveToStackPos(set, way, 0)
+func (*Random) OnHit(si int, _ []Line, stack *Stack, way int, _ *arch.Access) {
+	stack.Move(si, way, 0)
 }
 
 // OnEvict implements Policy.

@@ -104,10 +104,7 @@ func (m *Mockingjay) sample(setIdx int, blockAddr, pc uint64) {
 // Victim implements Policy: evict the line whose estimated next access is
 // farthest in the future; expired predictions (ETA already passed) lose
 // ties to live ones so provably-stale lines go first.
-func (m *Mockingjay) Victim(_ int, set []Line, _ *arch.Access) int {
-	if w := InvalidWay(set); w >= 0 {
-		return w
-	}
+func (m *Mockingjay) Victim(_ int, set []Line, _ *Stack, _ *arch.Access) int {
 	victim, worst := 0, int64(-1<<62)
 	for i := range set {
 		// Score: how far in the future we expect the next access;
@@ -125,7 +122,7 @@ func (m *Mockingjay) Victim(_ int, set []Line, _ *arch.Access) int {
 }
 
 // OnFill implements Policy.
-func (m *Mockingjay) OnFill(setIdx int, set []Line, way int, in *arch.Access) {
+func (m *Mockingjay) OnFill(setIdx int, set []Line, _ *Stack, way int, in *arch.Access) {
 	m.clock++
 	m.sample(setIdx, set[way].Tag, in.PC)
 	sig := m.signature(in.PC)
@@ -134,7 +131,7 @@ func (m *Mockingjay) OnFill(setIdx int, set []Line, way int, in *arch.Access) {
 }
 
 // OnHit implements Policy: re-predict from the hitting PC.
-func (m *Mockingjay) OnHit(setIdx int, set []Line, way int, in *arch.Access) {
+func (m *Mockingjay) OnHit(setIdx int, set []Line, _ *Stack, way int, in *arch.Access) {
 	m.clock++
 	m.sample(setIdx, set[way].Tag, in.PC)
 	sig := m.signature(in.PC)

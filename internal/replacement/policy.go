@@ -32,122 +32,31 @@ type Line struct {
 	// demanded.
 	Prefetched bool
 
-	// Policy-owned state.
-	Stack  uint8  // exact recency-stack position, 0 = MRU
+	// Policy-owned state. The recency order is not per line: the cache
+	// owns one Stack for all its sets.
 	RRPV   uint8  // re-reference prediction value (RRIP family)
 	Sig    uint16 // PC signature (SHiP, Mockingjay)
 	Reused bool   // block was hit since fill (SHiP training)
 	ETA    uint64 // estimated time of next access (Mockingjay)
 }
 
-// Policy decides victims and maintains per-line replacement state.
-// Victim returns the way to evict (the caller guarantees the set is full
-// of valid lines when no invalid way exists). OnFill runs after the new
-// line's identity fields are written; OnHit runs on every demand hit;
-// OnEvict runs just before a valid line is overwritten, so policies can
-// train on dead blocks.
+// Policy decides victims and maintains per-line replacement state; stack
+// is the cache's recency order, which the policy reorders with Move.
+// The cache fills the deepest invalid way of a set itself, so Victim
+// runs only on a full set and returns the way to evict. OnFill runs after
+// the new line's identity fields are written; OnHit runs on every demand
+// hit; OnEvict runs just before a valid line is overwritten, so policies
+// can train on dead blocks.
 type Policy interface {
 	Name() string
 	//itp:hotpath
-	Victim(setIdx int, set []Line, in *arch.Access) int
+	Victim(setIdx int, set []Line, stack *Stack, in *arch.Access) int
 	//itp:hotpath
-	OnFill(setIdx int, set []Line, way int, in *arch.Access)
+	OnFill(setIdx int, set []Line, stack *Stack, way int, in *arch.Access)
 	//itp:hotpath
-	OnHit(setIdx int, set []Line, way int, in *arch.Access)
+	OnHit(setIdx int, set []Line, stack *Stack, way int, in *arch.Access)
 	//itp:hotpath
 	OnEvict(setIdx int, set []Line, way int)
-}
-
-// InitSet establishes the stack-position permutation invariant for a
-// freshly created set: positions are a permutation of 0..len(set)-1.
-//
-//itp:hotpath
-func InitSet(set []Line) {
-	for i := range set {
-		set[i].Stack = uint8(i)
-	}
-}
-
-// InvalidWay returns the index of an invalid line with the deepest stack
-// position, or -1 if the set is full.
-//
-//itp:hotpath
-func InvalidWay(set []Line) int {
-	best, bestStack := -1, -1
-	for i := range set {
-		if !set[i].Valid && int(set[i].Stack) > bestStack {
-			best, bestStack = i, int(set[i].Stack)
-		}
-	}
-	return best
-}
-
-// StackLRUVictim returns the way at the bottom of the recency stack,
-// preferring invalid ways.
-//
-//itp:hotpath
-func StackLRUVictim(set []Line) int {
-	if w := InvalidWay(set); w >= 0 {
-		return w
-	}
-	victim, deepest := 0, -1
-	for i := range set {
-		if int(set[i].Stack) > deepest {
-			victim, deepest = i, int(set[i].Stack)
-		}
-	}
-	return victim
-}
-
-// MoveToStackPos repositions way to stack position pos, shifting the
-// intervening lines by one; the permutation invariant is preserved.
-//
-//itp:hotpath
-func MoveToStackPos(set []Line, way, pos int) {
-	old := int(set[way].Stack)
-	switch {
-	case pos < old:
-		for i := range set {
-			if p := int(set[i].Stack); p >= pos && p < old {
-				set[i].Stack++
-			}
-		}
-	case pos > old:
-		for i := range set {
-			if p := int(set[i].Stack); p > old && p <= pos {
-				set[i].Stack--
-			}
-		}
-	default:
-		return
-	}
-	set[way].Stack = uint8(pos)
-}
-
-// StackPosOf returns the way currently at stack position pos, or -1.
-//
-//itp:hotpath
-func StackPosOf(set []Line, pos int) int {
-	for i := range set {
-		if int(set[i].Stack) == pos {
-			return i
-		}
-	}
-	return -1
-}
-
-// CheckStackInvariant reports whether the set's stack positions form a
-// permutation of 0..len(set)-1 (test helper).
-func CheckStackInvariant(set []Line) bool {
-	seen := make([]bool, len(set))
-	for i := range set {
-		p := int(set[i].Stack)
-		if p < 0 || p >= len(set) || seen[p] {
-			return false
-		}
-		seen[p] = true
-	}
-	return true
 }
 
 // FromName constructs a named baseline policy sized for a cache with the

@@ -2,16 +2,16 @@ package replacement
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"itpsim/internal/arch"
 )
 
-func newSet(ways int) []Line {
-	set := make([]Line, ways)
-	InitSet(set)
-	return set
+// newSet returns one empty set and its recency stack, way i at position i.
+func newSet(ways int) ([]Line, *Stack) {
+	return make([]Line, ways), NewStack(1, ways)
 }
 
 func fillAll(set []Line) {
@@ -22,65 +22,56 @@ func fillAll(set []Line) {
 }
 
 func TestInitSetInvariant(t *testing.T) {
-	for _, ways := range []int{1, 2, 8, 12, 16} {
-		set := newSet(ways)
-		if !CheckStackInvariant(set) {
-			t.Errorf("ways=%d: InitSet broke invariant", ways)
+	for _, ways := range []int{1, 2, 8, 12, 16, 256} {
+		st := NewStack(4, ways)
+		for si := 0; si < 4; si++ {
+			if !st.IsPermutation(si) {
+				t.Errorf("ways=%d set %d: a fresh stack is not a permutation", ways, si)
+			}
+			for pos, w := range st.Order(si) {
+				if int(w) != pos {
+					t.Errorf("ways=%d set %d: position %d holds way %d, want way i at position i", ways, si, pos, w)
+				}
+			}
 		}
 	}
 }
 
-func TestInvalidWayPrefersDeepest(t *testing.T) {
-	set := newSet(4)
-	// all invalid: deepest stack position is way with Stack==3.
-	w := InvalidWay(set)
-	if set[w].Stack != 3 {
-		t.Errorf("InvalidWay picked stack pos %d, want 3", set[w].Stack)
-	}
-	fillAll(set)
-	if InvalidWay(set) != -1 {
-		t.Error("full set should report no invalid way")
-	}
-	set[1].Valid = false
-	if got := InvalidWay(set); got != 1 {
-		t.Errorf("InvalidWay = %d, want 1", got)
-	}
-}
-
 func TestMoveToStackPos(t *testing.T) {
-	set := newSet(4) // stacks: 0,1,2,3
-	MoveToStackPos(set, 3, 0)
-	if set[3].Stack != 0 {
-		t.Errorf("way3 stack = %d, want 0", set[3].Stack)
+	st := NewStack(2, 4) // order: 0,1,2,3
+	st.Move(1, 3, 0)
+	if got := st.Order(1); !slices.Equal(got, []uint8{3, 0, 1, 2}) {
+		t.Errorf("upward move: order %v, want [3 0 1 2]", got)
 	}
-	// others shifted down: way0→1, way1→2, way2→3
-	if set[0].Stack != 1 || set[1].Stack != 2 || set[2].Stack != 3 {
-		t.Errorf("shift wrong: %v %v %v", set[0].Stack, set[1].Stack, set[2].Stack)
-	}
-	if !CheckStackInvariant(set) {
-		t.Error("invariant broken")
+	if !slices.Equal(st.Order(0), []uint8{0, 1, 2, 3}) {
+		t.Errorf("move in set 1 changed set 0: %v", st.Order(0))
 	}
 	// Move down: way3 (pos 0) to pos 2.
-	MoveToStackPos(set, 3, 2)
-	if set[3].Stack != 2 || !CheckStackInvariant(set) {
-		t.Errorf("downward move wrong: %+v", set)
+	st.Move(1, 3, 2)
+	if got := st.Order(1); !slices.Equal(got, []uint8{0, 1, 3, 2}) {
+		t.Errorf("downward move: order %v, want [0 1 3 2]", got)
 	}
 	// No-op move.
-	MoveToStackPos(set, 3, 2)
-	if set[3].Stack != 2 || !CheckStackInvariant(set) {
-		t.Error("no-op move broke invariant")
+	st.Move(1, 3, 2)
+	if got := st.Order(1); !slices.Equal(got, []uint8{0, 1, 3, 2}) {
+		t.Errorf("no-op move: order %v, want [0 1 3 2]", got)
+	}
+	if st.LRU(1) != 2 {
+		t.Errorf("LRU = %d, want way 2", st.LRU(1))
 	}
 }
 
-// Property: arbitrary sequences of moves preserve the permutation invariant.
+// Property: arbitrary sequences of moves preserve the permutation
+// invariant, and each move puts its way where it was asked to.
 func TestMoveInvariantProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		set := newSet(12)
+		st := NewStack(3, 12)
 		for _, op := range ops {
+			si := int(op) % 3
 			way := int(op) % 12
 			pos := int(op>>4) % 12
-			MoveToStackPos(set, way, pos)
-			if !CheckStackInvariant(set) {
+			st.Move(si, way, pos)
+			if !st.IsPermutation(si) || st.Pos(si, way) != pos {
 				return false
 			}
 		}
@@ -92,68 +83,59 @@ func TestMoveInvariantProperty(t *testing.T) {
 }
 
 func TestStackPosOf(t *testing.T) {
-	set := newSet(4)
-	for pos := 0; pos < 4; pos++ {
-		w := StackPosOf(set, pos)
-		if w < 0 || int(set[w].Stack) != pos {
-			t.Errorf("StackPosOf(%d) wrong", pos)
+	st := NewStack(1, 4)
+	st.Move(0, 2, 0)
+	for pos, w := range st.Order(0) {
+		if got := st.Pos(0, int(w)); got != pos {
+			t.Errorf("Pos(way %d) = %d, want %d", w, got, pos)
 		}
 	}
-	if StackPosOf(set, 99) != -1 {
-		t.Error("missing pos should return -1")
+	st.Order(0)[1] = 9 // corrupt: way 9 does not exist, way 0 is missing
+	if st.IsPermutation(0) {
+		t.Error("a corrupted order must not pass as a permutation")
 	}
 }
 
 func TestLRUBehaviour(t *testing.T) {
 	p := NewLRU()
-	set := newSet(4)
+	set, st := newSet(4)
 	fillAll(set)
 	acc := &arch.Access{Kind: arch.Load}
 	// Touch ways in order 0,1,2,3: way 0 becomes LRU.
 	for w := 0; w < 4; w++ {
-		p.OnHit(0, set, w, acc)
+		p.OnHit(0, set, st, w, acc)
 	}
-	if v := p.Victim(0, set, acc); v != 0 {
+	if v := p.Victim(0, set, st, acc); v != 0 {
 		t.Errorf("LRU victim = %d, want 0", v)
 	}
-	p.OnFill(0, set, 0, acc)
-	if set[0].Stack != 0 {
+	p.OnFill(0, set, st, 0, acc)
+	if st.Pos(0, 0) != 0 {
 		t.Error("fill should move to MRU")
 	}
-	if v := p.Victim(0, set, acc); v != 1 {
+	if v := p.Victim(0, set, st, acc); v != 1 {
 		t.Errorf("next victim = %d, want 1", v)
 	}
 }
 
-func TestLRUPrefersInvalid(t *testing.T) {
-	p := NewLRU()
-	set := newSet(4)
-	fillAll(set)
-	set[2].Valid = false
-	if v := p.Victim(0, set, nil); v != 2 {
-		t.Errorf("victim = %d, want invalid way 2", v)
-	}
-}
-
 func TestRandomDeterministic(t *testing.T) {
-	set := newSet(8)
+	set, st := newSet(8)
 	fillAll(set)
 	a := NewRandom(42)
 	b := NewRandom(42)
 	for i := 0; i < 50; i++ {
-		if a.Victim(0, set, nil) != b.Victim(0, set, nil) {
+		if a.Victim(0, set, st, nil) != b.Victim(0, set, st, nil) {
 			t.Fatal("same seed should give same victims")
 		}
 	}
 }
 
 func TestRandomCoversWays(t *testing.T) {
-	set := newSet(4)
+	set, st := newSet(4)
 	fillAll(set)
 	p := NewRandom(7)
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
-		seen[p.Victim(0, set, nil)] = true
+		seen[p.Victim(0, set, st, nil)] = true
 	}
 	if len(seen) != 4 {
 		t.Errorf("random victims covered %d/4 ways", len(seen))
@@ -162,37 +144,37 @@ func TestRandomCoversWays(t *testing.T) {
 
 func TestSRRIP(t *testing.T) {
 	p := NewSRRIP()
-	set := newSet(4)
+	set, st := newSet(4)
 	fillAll(set)
 	acc := &arch.Access{Kind: arch.Load, PC: 100}
 	for w := range set {
-		p.OnFill(0, set, w, acc)
+		p.OnFill(0, set, st, w, acc)
 	}
 	// All at long (2); victim search ages everyone to 3 and picks way 0.
-	if v := p.Victim(0, set, acc); v != 0 {
+	if v := p.Victim(0, set, st, acc); v != 0 {
 		t.Errorf("victim = %d, want 0", v)
 	}
 	if set[1].RRPV != rrpvMax {
 		t.Errorf("aging did not raise RRPVs: %d", set[1].RRPV)
 	}
-	p.OnHit(0, set, 2, acc)
+	p.OnHit(0, set, st, 2, acc)
 	if set[2].RRPV != rrpvNear {
 		t.Error("hit should reset RRPV")
 	}
 	// Now way 2 is protected; victim must not be 2.
-	if v := p.Victim(0, set, acc); v == 2 {
+	if v := p.Victim(0, set, st, acc); v == 2 {
 		t.Error("protected way evicted")
 	}
 }
 
 func TestBRRIPMostlyDistant(t *testing.T) {
 	p := NewBRRIP(1)
-	set := newSet(4)
+	set, st := newSet(4)
 	fillAll(set)
 	acc := &arch.Access{}
 	distant := 0
 	for i := 0; i < 1000; i++ {
-		p.OnFill(0, set, 0, acc)
+		p.OnFill(0, set, st, 0, acc)
 		if set[0].RRPV == rrpvMax {
 			distant++
 		}
@@ -255,7 +237,7 @@ func TestDuelPSELMovement(t *testing.T) {
 
 func TestDRRIPFollowsWinner(t *testing.T) {
 	p := NewDRRIP(64, 3)
-	set := newSet(4)
+	set, st := newSet(4)
 	fillAll(set)
 	acc := &arch.Access{}
 	// Force PSEL to favour SRRIP (policy A) by missing in B leaders.
@@ -277,7 +259,7 @@ func TestDRRIPFollowsWinner(t *testing.T) {
 	if follower == -1 {
 		t.Fatal("no follower set found")
 	}
-	p.OnFill(follower, set, 0, acc)
+	p.OnFill(follower, set, st, 0, acc)
 	if set[0].RRPV != rrpvLong {
 		t.Errorf("follower should use SRRIP insertion, got RRPV %d", set[0].RRPV)
 	}
@@ -285,36 +267,36 @@ func TestDRRIPFollowsWinner(t *testing.T) {
 
 func TestTDRRIPProtectsPTEs(t *testing.T) {
 	p := NewTDRRIP(64, 9)
-	set := newSet(4)
+	set, st := newSet(4)
 	fillAll(set)
 	acc := &arch.Access{Kind: arch.PTW}
 	set[1].IsPTE = true
-	p.OnFill(0, set, 1, acc)
+	p.OnFill(0, set, st, 1, acc)
 	if set[1].RRPV != rrpvNear {
 		t.Errorf("PTE insertion RRPV = %d, want %d", set[1].RRPV, rrpvNear)
 	}
 	// Demand block that missed the STLB inserts distant.
 	set[2].STLBMiss = true
 	set[2].IsPTE = false
-	p.OnFill(0, set, 2, &arch.Access{Kind: arch.Load})
+	p.OnFill(0, set, st, 2, &arch.Access{Kind: arch.Load})
 	if set[2].RRPV != rrpvMax {
 		t.Errorf("STLB-miss insertion RRPV = %d, want %d", set[2].RRPV, rrpvMax)
 	}
 	// Victim prefers the STLB-miss block over the PTE block.
-	if v := p.Victim(0, set, &arch.Access{}); v != 2 {
+	if v := p.Victim(0, set, st, &arch.Access{}); v != 2 {
 		t.Errorf("victim = %d, want the STLB-miss block 2", v)
 	}
 }
 
 func TestTDRRIPAllPTEsStillEvicts(t *testing.T) {
 	p := NewTDRRIP(64, 9)
-	set := newSet(4)
+	set, st := newSet(4)
 	fillAll(set)
 	for i := range set {
 		set[i].IsPTE = true
 		set[i].RRPV = rrpvNear
 	}
-	v := p.Victim(0, set, &arch.Access{})
+	v := p.Victim(0, set, st, &arch.Access{})
 	if v < 0 || v >= 4 {
 		t.Fatalf("victim out of range: %d", v)
 	}
@@ -322,25 +304,25 @@ func TestTDRRIPAllPTEsStillEvicts(t *testing.T) {
 
 func TestSHiPLearnsDeadSignatures(t *testing.T) {
 	p := NewSHiP(64, 5)
-	set := newSet(4)
+	set, st := newSet(4)
 	fillAll(set)
 	deadPC := uint64(0xdead00)
 	acc := &arch.Access{Kind: arch.Load, PC: deadPC}
 	// Repeatedly fill and evict without reuse: counter should reach 0.
 	for i := 0; i < 10; i++ {
-		p.OnFill(0, set, 0, acc)
+		p.OnFill(0, set, st, 0, acc)
 		p.OnEvict(0, set, 0)
 	}
-	p.OnFill(0, set, 0, acc)
+	p.OnFill(0, set, st, 0, acc)
 	if set[0].RRPV != rrpvMax {
 		t.Errorf("dead signature should insert distant, got RRPV %d", set[0].RRPV)
 	}
 	// Now train reuse: hit after fill.
 	for i := 0; i < 10; i++ {
-		p.OnFill(0, set, 0, acc)
-		p.OnHit(0, set, 0, acc)
+		p.OnFill(0, set, st, 0, acc)
+		p.OnHit(0, set, st, 0, acc)
 	}
-	p.OnFill(0, set, 0, acc)
+	p.OnFill(0, set, st, 0, acc)
 	if set[0].RRPV != rrpvLong {
 		t.Errorf("reused signature should insert long, got RRPV %d", set[0].RRPV)
 	}
@@ -348,15 +330,15 @@ func TestSHiPLearnsDeadSignatures(t *testing.T) {
 
 func TestSHiPHitTrainsOnce(t *testing.T) {
 	p := NewSHiP(64, 5)
-	set := newSet(2)
+	set, st := newSet(2)
 	fillAll(set)
 	acc := &arch.Access{PC: 0x1234}
-	p.OnFill(0, set, 0, acc)
+	p.OnFill(0, set, st, 0, acc)
 	sig := set[0].Sig
 	before := p.shct[sig]
-	p.OnHit(0, set, 0, acc)
-	p.OnHit(0, set, 0, acc)
-	p.OnHit(0, set, 0, acc)
+	p.OnHit(0, set, st, 0, acc)
+	p.OnHit(0, set, st, 0, acc)
+	p.OnHit(0, set, st, 0, acc)
 	if p.shct[sig] != before+1 {
 		t.Errorf("multiple hits should train once: %d -> %d", before, p.shct[sig])
 	}
@@ -364,21 +346,21 @@ func TestSHiPHitTrainsOnce(t *testing.T) {
 
 func TestMockingjayVictimIsFarthest(t *testing.T) {
 	p := NewMockingjay(64, 4)
-	set := newSet(4)
+	set, st := newSet(4)
 	fillAll(set)
 	p.clock = 100
 	set[0].ETA = 110
 	set[1].ETA = 500 // farthest future
 	set[2].ETA = 120
 	set[3].ETA = 105
-	if v := p.Victim(0, set, nil); v != 1 {
+	if v := p.Victim(0, set, st, nil); v != 1 {
 		t.Errorf("victim = %d, want 1 (farthest ETA)", v)
 	}
 }
 
 func TestMockingjayPrefersOverdue(t *testing.T) {
 	p := NewMockingjay(64, 4)
-	set := newSet(4)
+	set, st := newSet(4)
 	fillAll(set)
 	p.clock = 10000
 	// Way 2 is long overdue (predicted reuse never happened).
@@ -386,7 +368,7 @@ func TestMockingjayPrefersOverdue(t *testing.T) {
 	set[1].ETA = 10020
 	set[2].ETA = 100
 	set[3].ETA = 10005
-	if v := p.Victim(0, set, nil); v != 2 {
+	if v := p.Victim(0, set, st, nil); v != 2 {
 		t.Errorf("victim = %d, want overdue way 2", v)
 	}
 }
@@ -437,16 +419,16 @@ func TestMockingjaySamplerObservesReuse(t *testing.T) {
 
 func TestPTPProtectsAllPTEs(t *testing.T) {
 	p := NewPTP()
-	set := newSet(4)
+	set, st := newSet(4)
 	fillAll(set)
 	set[0].IsPTE = true
 	set[0].IsDataPTE = true
 	set[3].IsPTE = true
 	// Recency order: touch 1 then 2 → way at stack bottom among non-PTE.
 	acc := &arch.Access{}
-	p.OnHit(0, set, 2, acc)
-	p.OnHit(0, set, 1, acc)
-	v := p.Victim(0, set, acc)
+	p.OnHit(0, set, st, 2, acc)
+	p.OnHit(0, set, st, 1, acc)
+	v := p.Victim(0, set, st, acc)
 	if set[v].IsPTE {
 		t.Errorf("PTP evicted a PTE block (way %d)", v)
 	}
@@ -457,14 +439,14 @@ func TestPTPProtectsAllPTEs(t *testing.T) {
 
 func TestPTPAllPTEFallsBackToLRU(t *testing.T) {
 	p := NewPTP()
-	set := newSet(4)
+	set, st := newSet(4)
 	fillAll(set)
 	for i := range set {
 		set[i].IsPTE = true
 	}
-	v := p.Victim(0, set, nil)
-	if int(set[v].Stack) != 3 {
-		t.Errorf("all-PTE set should evict LRU, got stack %d", set[v].Stack)
+	v := p.Victim(0, set, st, nil)
+	if st.Pos(0, v) != 3 {
+		t.Errorf("all-PTE set should evict LRU, got stack %d", st.Pos(0, v))
 	}
 }
 
@@ -497,8 +479,9 @@ func TestPoliciesRobustUnderRandomOps(t *testing.T) {
 		rng := rand.New(rand.NewSource(99))
 		sets := make([][]Line, 64)
 		for i := range sets {
-			sets[i] = newSet(8)
+			sets[i] = make([]Line, 8)
 		}
+		st := NewStack(64, 8)
 		for op := 0; op < 5000; op++ {
 			si := rng.Intn(64)
 			set := sets[si]
@@ -509,22 +492,21 @@ func TestPoliciesRobustUnderRandomOps(t *testing.T) {
 				IsPTE:    rng.Intn(4) == 0,
 				STLBMiss: rng.Intn(4) == 0,
 			}
-			v := p.Victim(si, set, acc)
+			v := victimOf(p, si, set, st, acc)
 			if v < 0 || v >= 8 {
 				t.Fatalf("%s: victim %d out of range", n, v)
 			}
-			p.OnEvict(si, set, v)
 			set[v].Valid = true
 			set[v].Tag = uint64(rng.Intn(500))
 			set[v].IsPTE = acc.IsPTE
 			set[v].IsDataPTE = acc.IsPTE && acc.Class == arch.DataClass
 			set[v].STLBMiss = acc.STLBMiss
 			set[v].Reused = false
-			p.OnFill(si, set, v, acc)
+			p.OnFill(si, set, st, v, acc)
 			if rng.Intn(2) == 0 {
-				p.OnHit(si, set, rng.Intn(8), acc)
+				p.OnHit(si, set, st, rng.Intn(8), acc)
 			}
-			if !CheckStackInvariant(set) {
+			if !st.IsPermutation(si) {
 				t.Fatalf("%s: stack invariant broken at op %d", n, op)
 			}
 		}

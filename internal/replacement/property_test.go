@@ -7,18 +7,32 @@ import (
 	"itpsim/internal/arch"
 )
 
+// victimOf picks the way a miss in set si fills, the way cache.Cache
+// does: the deepest invalid way, else the policy's victim, which is told
+// of its eviction.
+func victimOf(p Policy, si int, set []Line, st *Stack, acc *arch.Access) int {
+	order := st.Order(si)
+	for pos := len(order) - 1; pos >= 0; pos-- {
+		if w := int(order[pos]); !set[w].Valid {
+			return w
+		}
+	}
+	way := p.Victim(si, set, st, acc)
+	p.OnEvict(si, set, way)
+	return way
+}
+
 // setModel is a minimal fully-associative cache set driven through the
 // Policy interface — the harness the property tests exercise policies
 // against, independent of the cache machinery.
 type setModel struct {
 	p   Policy
 	set []Line
+	st  *Stack
 }
 
 func newSetModel(p Policy, ways int) *setModel {
-	m := &setModel{p: p, set: make([]Line, ways)}
-	InitSet(m.set)
-	return m
+	return &setModel{p: p, set: make([]Line, ways), st: NewStack(1, ways)}
 }
 
 // access touches tag, filling on miss exactly like cache.Cache does.
@@ -26,16 +40,13 @@ func (m *setModel) access(tag uint64) {
 	acc := &arch.Access{Addr: arch.Addr(tag << 6)}
 	for i := range m.set {
 		if m.set[i].Valid && m.set[i].Tag == tag {
-			m.p.OnHit(0, m.set, i, acc)
+			m.p.OnHit(0, m.set, m.st, i, acc)
 			return
 		}
 	}
-	way := m.p.Victim(0, m.set, acc)
-	if m.set[way].Valid {
-		m.p.OnEvict(0, m.set, way)
-	}
-	m.set[way] = Line{Valid: true, Tag: tag, Stack: m.set[way].Stack}
-	m.p.OnFill(0, m.set, way, acc)
+	way := victimOf(m.p, 0, m.set, m.st, acc)
+	m.set[way] = Line{Valid: true, Tag: tag}
+	m.p.OnFill(0, m.set, m.st, way, acc)
 }
 
 func (m *setModel) contains(tag uint64) bool {
@@ -60,7 +71,7 @@ func TestLRUStackInclusion(t *testing.T) {
 			tag := uint64(rng.Intn(24)) // working set ~3x the small cache
 			small.access(tag)
 			large.access(tag)
-			if !CheckStackInvariant(small.set) || !CheckStackInvariant(large.set) {
+			if !small.st.IsPermutation(0) || !large.st.IsPermutation(0) {
 				t.Fatalf("trial %d step %d: stack invariant broken", trial, step)
 			}
 			for i := range small.set {
@@ -88,7 +99,7 @@ func TestPoliciesPreserveStackInvariant(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			for step := 0; step < 5000; step++ {
 				m.access(uint64(rng.Intn(20)))
-				if !CheckStackInvariant(m.set) {
+				if !m.st.IsPermutation(0) {
 					t.Fatalf("step %d: stack invariant broken", step)
 				}
 			}
@@ -110,8 +121,7 @@ func TestVictimAlwaysInRange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			set := make([]Line, ways)
-			InitSet(set)
+			set, st := newSet(ways)
 			rng := rand.New(rand.NewSource(3))
 			for step := 0; step < 3000; step++ {
 				tag := uint64(rng.Intn(32))
@@ -124,24 +134,21 @@ func TestVictimAlwaysInRange(t *testing.T) {
 					}
 				}
 				if hit >= 0 {
-					p.OnHit(0, set, hit, acc)
+					p.OnHit(0, set, st, hit, acc)
 					continue
 				}
-				way := p.Victim(0, set, acc)
+				way := victimOf(p, 0, set, st, acc)
 				if way < 0 || way >= ways {
 					t.Fatalf("step %d: victim %d out of range [0,%d)", step, way, ways)
 				}
-				if set[way].Valid {
-					p.OnEvict(0, set, way)
-				}
 				set[way] = Line{
-					Valid: true, Tag: tag, Stack: set[way].Stack,
+					Valid: true, Tag: tag,
 					RRPV: set[way].RRPV, Sig: set[way].Sig, ETA: set[way].ETA,
 					IsPTE:     rng.Intn(8) == 0,
 					IsDataPTE: rng.Intn(16) == 0,
 					STLBMiss:  rng.Intn(4) == 0,
 				}
-				p.OnFill(0, set, way, acc)
+				p.OnFill(0, set, st, way, acc)
 			}
 		})
 	}

@@ -18,33 +18,24 @@ func (*PTP) Name() string { return "ptp" }
 
 // Victim implements Policy: the LRU block among non-PTE blocks; if the
 // whole set holds PTEs, plain LRU.
-func (*PTP) Victim(_ int, set []Line, _ *arch.Access) int {
-	if w := InvalidWay(set); w >= 0 {
-		return w
-	}
-	victim, deepest := -1, -1
-	for i := range set {
-		if set[i].IsPTE {
-			continue
-		}
-		if int(set[i].Stack) > deepest {
-			victim, deepest = i, int(set[i].Stack)
+func (*PTP) Victim(si int, set []Line, stack *Stack, _ *arch.Access) int {
+	order := stack.Order(si)
+	for pos := len(order) - 1; pos >= 0; pos-- {
+		if w := int(order[pos]); !set[w].IsPTE {
+			return w
 		}
 	}
-	if victim >= 0 {
-		return victim
-	}
-	return StackLRUVictim(set)
+	return stack.LRU(si)
 }
 
 // OnFill implements Policy: LRU insertion, with PTE blocks inserted at MRU.
-func (*PTP) OnFill(_ int, set []Line, way int, _ *arch.Access) {
-	MoveToStackPos(set, way, 0)
+func (*PTP) OnFill(si int, _ []Line, stack *Stack, way int, _ *arch.Access) {
+	stack.Move(si, way, 0)
 }
 
 // OnHit implements Policy.
-func (*PTP) OnHit(_ int, set []Line, way int, _ *arch.Access) {
-	MoveToStackPos(set, way, 0)
+func (*PTP) OnHit(si int, _ []Line, stack *Stack, way int, _ *arch.Access) {
+	stack.Move(si, way, 0)
 }
 
 // OnEvict implements Policy.

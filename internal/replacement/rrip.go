@@ -13,9 +13,6 @@ const (
 
 // rripVictim finds a way with RRPV==max, aging the set until one exists.
 func rripVictim(set []Line) int {
-	if w := InvalidWay(set); w >= 0 {
-		return w
-	}
 	for {
 		for i := range set {
 			if set[i].RRPV >= rrpvMax {
@@ -38,13 +35,13 @@ func NewSRRIP() *SRRIP { return &SRRIP{} }
 func (*SRRIP) Name() string { return "srrip" }
 
 // Victim implements Policy.
-func (*SRRIP) Victim(_ int, set []Line, _ *arch.Access) int { return rripVictim(set) }
+func (*SRRIP) Victim(_ int, set []Line, _ *Stack, _ *arch.Access) int { return rripVictim(set) }
 
 // OnFill implements Policy.
-func (*SRRIP) OnFill(_ int, set []Line, way int, _ *arch.Access) { set[way].RRPV = rrpvLong }
+func (*SRRIP) OnFill(_ int, set []Line, _ *Stack, way int, _ *arch.Access) { set[way].RRPV = rrpvLong }
 
 // OnHit implements Policy.
-func (*SRRIP) OnHit(_ int, set []Line, way int, _ *arch.Access) { set[way].RRPV = rrpvNear }
+func (*SRRIP) OnHit(_ int, set []Line, _ *Stack, way int, _ *arch.Access) { set[way].RRPV = rrpvNear }
 
 // OnEvict implements Policy.
 func (*SRRIP) OnEvict(int, []Line, int) {}
@@ -62,10 +59,10 @@ func NewBRRIP(seed uint64) *BRRIP { return &BRRIP{rng: newXorshift(seed)} }
 func (*BRRIP) Name() string { return "brrip" }
 
 // Victim implements Policy.
-func (*BRRIP) Victim(_ int, set []Line, _ *arch.Access) int { return rripVictim(set) }
+func (*BRRIP) Victim(_ int, set []Line, _ *Stack, _ *arch.Access) int { return rripVictim(set) }
 
 // OnFill implements Policy.
-func (b *BRRIP) OnFill(_ int, set []Line, way int, _ *arch.Access) {
+func (b *BRRIP) OnFill(_ int, set []Line, _ *Stack, way int, _ *arch.Access) {
 	if b.rng.next()%brripEpsilon == 0 {
 		set[way].RRPV = rrpvLong
 	} else {
@@ -74,7 +71,7 @@ func (b *BRRIP) OnFill(_ int, set []Line, way int, _ *arch.Access) {
 }
 
 // OnHit implements Policy.
-func (*BRRIP) OnHit(_ int, set []Line, way int, _ *arch.Access) { set[way].RRPV = rrpvNear }
+func (*BRRIP) OnHit(_ int, set []Line, _ *Stack, way int, _ *arch.Access) { set[way].RRPV = rrpvNear }
 
 // OnEvict implements Policy.
 func (*BRRIP) OnEvict(int, []Line, int) {}
@@ -158,22 +155,27 @@ func NewDRRIP(sets int, seed uint64) *DRRIP {
 func (*DRRIP) Name() string { return "drrip" }
 
 // Victim implements Policy.
-func (d *DRRIP) Victim(setIdx int, set []Line, in *arch.Access) int {
+func (*DRRIP) Victim(_ int, set []Line, _ *Stack, _ *arch.Access) int { return rripVictim(set) }
+
+// OnFill implements Policy. Every fill is a miss, so it trains PSEL
+// first, whether or not the set had to evict.
+func (d *DRRIP) OnFill(setIdx int, set []Line, stack *Stack, way int, in *arch.Access) {
 	d.duel.onMiss(setIdx)
-	return rripVictim(set)
+	d.insert(setIdx, set, stack, way, in)
 }
 
-// OnFill implements Policy.
-func (d *DRRIP) OnFill(setIdx int, set []Line, way int, in *arch.Access) {
+// insert applies the insertion policy the duel currently selects for
+// setIdx.
+func (d *DRRIP) insert(setIdx int, set []Line, stack *Stack, way int, in *arch.Access) {
 	if d.duel.useA(setIdx) {
-		d.s.OnFill(setIdx, set, way, in)
+		d.s.OnFill(setIdx, set, stack, way, in)
 	} else {
-		d.b.OnFill(setIdx, set, way, in)
+		d.b.OnFill(setIdx, set, stack, way, in)
 	}
 }
 
 // OnHit implements Policy.
-func (*DRRIP) OnHit(_ int, set []Line, way int, _ *arch.Access) { set[way].RRPV = rrpvNear }
+func (*DRRIP) OnHit(_ int, set []Line, _ *Stack, way int, _ *arch.Access) { set[way].RRPV = rrpvNear }
 
 // OnEvict implements Policy.
 func (*DRRIP) OnEvict(int, []Line, int) {}
@@ -196,25 +198,23 @@ func NewTDRRIP(sets int, seed uint64) *TDRRIP {
 // Name implements Policy.
 func (*TDRRIP) Name() string { return "tdrrip" }
 
-// OnFill implements Policy.
-func (t *TDRRIP) OnFill(setIdx int, set []Line, way int, in *arch.Access) {
+// OnFill implements Policy. Like DRRIP it trains PSEL on every fill,
+// before choosing the insertion value.
+func (t *TDRRIP) OnFill(setIdx int, set []Line, stack *Stack, way int, in *arch.Access) {
+	t.duel.onMiss(setIdx)
 	switch {
 	case set[way].IsPTE:
 		set[way].RRPV = rrpvNear
 	case set[way].STLBMiss:
 		set[way].RRPV = rrpvMax
 	default:
-		t.DRRIP.OnFill(setIdx, set, way, in)
+		t.insert(setIdx, set, stack, way, in)
 	}
 }
 
 // Victim implements Policy: T-DRRIP prefers victims among blocks brought
 // in by STLB-missing demand loads when one is available at distant RRPV.
-func (t *TDRRIP) Victim(setIdx int, set []Line, in *arch.Access) int {
-	t.duel.onMiss(setIdx)
-	if w := InvalidWay(set); w >= 0 {
-		return w
-	}
+func (*TDRRIP) Victim(_ int, set []Line, _ *Stack, _ *arch.Access) int {
 	for {
 		// First preference: distant blocks from STLB-missing loads.
 		for i := range set {

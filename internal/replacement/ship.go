@@ -43,11 +43,11 @@ func (s *SHiP) signature(pc uint64) uint16 {
 }
 
 // Victim implements Policy (SRRIP-style aging victim search).
-func (*SHiP) Victim(_ int, set []Line, _ *arch.Access) int { return rripVictim(set) }
+func (*SHiP) Victim(_ int, set []Line, _ *Stack, _ *arch.Access) int { return rripVictim(set) }
 
 // OnFill implements Policy: insertion RRPV depends on the signature's
 // learned reuse behaviour.
-func (s *SHiP) OnFill(_ int, set []Line, way int, in *arch.Access) {
+func (s *SHiP) OnFill(_ int, set []Line, _ *Stack, way int, in *arch.Access) {
 	sig := s.signature(in.PC)
 	set[way].Sig = sig
 	set[way].Reused = false
@@ -59,7 +59,7 @@ func (s *SHiP) OnFill(_ int, set []Line, way int, in *arch.Access) {
 }
 
 // OnHit implements Policy: promote and train the signature as reused.
-func (s *SHiP) OnHit(_ int, set []Line, way int, _ *arch.Access) {
+func (s *SHiP) OnHit(_ int, set []Line, _ *Stack, way int, _ *arch.Access) {
 	set[way].RRPV = rrpvNear
 	if !set[way].Reused {
 		set[way].Reused = true

@@ -21,7 +21,7 @@ func NewTSHiP(sets int, seed uint64) *TSHiP {
 func (*TSHiP) Name() string { return "tship" }
 
 // OnFill implements Policy.
-func (t *TSHiP) OnFill(setIdx int, set []Line, way int, in *arch.Access) {
+func (t *TSHiP) OnFill(setIdx int, set []Line, stack *Stack, way int, in *arch.Access) {
 	switch {
 	case set[way].IsPTE:
 		sig := t.signature(in.PC)
@@ -34,17 +34,14 @@ func (t *TSHiP) OnFill(setIdx int, set []Line, way int, in *arch.Access) {
 		set[way].Reused = false
 		set[way].RRPV = rrpvMax
 	default:
-		t.SHiP.OnFill(setIdx, set, way, in)
+		t.SHiP.OnFill(setIdx, set, stack, way, in)
 	}
 }
 
 // Victim implements Policy: like T-DRRIP, prefer distant blocks from
 // STLB-missing demand accesses and avoid PTE blocks while any
 // alternative exists.
-func (t *TSHiP) Victim(setIdx int, set []Line, in *arch.Access) int {
-	if w := InvalidWay(set); w >= 0 {
-		return w
-	}
+func (*TSHiP) Victim(_ int, set []Line, _ *Stack, _ *arch.Access) int {
 	for {
 		for i := range set {
 			if set[i].RRPV >= rrpvMax && set[i].STLBMiss && !set[i].IsPTE {

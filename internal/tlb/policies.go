@@ -1,5 +1,7 @@
 package tlb
 
+import "itpsim/internal/replacement"
+
 // TLB-side baseline replacement policies: LRU (the vendor default the
 // paper's baseline uses) and CHiRP (Mirbagher-Ajorpaz et al., MICRO'20),
 // the state-of-the-art STLB policy iTP is compared against.
@@ -16,17 +18,23 @@ func (*LRU) Name() string { return "lru" }
 // Victim implements Policy.
 //
 //itp:hotpath
-func (*LRU) Victim(_ int, set []Entry, _ *Request) int { return StackLRUVictim(set) }
+func (*LRU) Victim(si int, _ []Entry, stack *replacement.Stack, _ *Request) int {
+	return stack.LRU(si)
+}
 
 // OnFill implements Policy.
 //
 //itp:hotpath
-func (*LRU) OnFill(_ int, set []Entry, way int, _ *Request) { MoveToStackPos(set, way, 0) }
+func (*LRU) OnFill(si int, _ []Entry, stack *replacement.Stack, way int, _ *Request) {
+	stack.Move(si, way, 0)
+}
 
 // OnHit implements Policy.
 //
 //itp:hotpath
-func (*LRU) OnHit(_ int, set []Entry, way int, _ *Request) { MoveToStackPos(set, way, 0) }
+func (*LRU) OnHit(si int, _ []Entry, stack *replacement.Stack, way int, _ *Request) {
+	stack.Move(si, way, 0)
+}
 
 // OnEvict implements Policy.
 //
@@ -100,27 +108,29 @@ func (c *CHiRP) signature(thread uint8, vpn uint64) uint16 {
 // Victim implements Policy: plain LRU eviction (CHiRP drives insertion).
 //
 //itp:hotpath
-func (*CHiRP) Victim(_ int, set []Entry, _ *Request) int { return StackLRUVictim(set) }
+func (*CHiRP) Victim(si int, _ []Entry, stack *replacement.Stack, _ *Request) int {
+	return stack.LRU(si)
+}
 
 // OnFill implements Policy.
 //
 //itp:hotpath
-func (c *CHiRP) OnFill(_ int, set []Entry, way int, req *Request) {
+func (c *CHiRP) OnFill(si int, set []Entry, stack *replacement.Stack, way int, req *Request) {
 	sig := c.signature(req.Thread, req.VPN)
 	set[way].Sig = sig
 	set[way].Reused = false
 	if c.table[sig] >= c.threshold {
-		MoveToStackPos(set, way, 0)
+		stack.Move(si, way, 0)
 	} else {
-		MoveToStackPos(set, way, c.lowInsertPos)
+		stack.Move(si, way, c.lowInsertPos)
 	}
 }
 
 // OnHit implements Policy: promote to MRU and train the signature.
 //
 //itp:hotpath
-func (c *CHiRP) OnHit(_ int, set []Entry, way int, _ *Request) {
-	MoveToStackPos(set, way, 0)
+func (c *CHiRP) OnHit(si int, set []Entry, stack *replacement.Stack, way int, _ *Request) {
+	stack.Move(si, way, 0)
 	if !set[way].Reused {
 		set[way].Reused = true
 		if c.table[set[way].Sig] < c.ctrMax {

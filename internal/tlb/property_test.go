@@ -65,8 +65,8 @@ func TestTLBStackInvariantUnderRandomOps(t *testing.T) {
 		if _, _, hit := tl.Lookup(va, 0, class, thread); !hit {
 			tl.Insert(va, vpn, bits, class, 0, thread)
 		}
-		for si, set := range tl.sets {
-			if !CheckStackInvariant(set) {
+		for si := range tl.sets {
+			if !tl.stack.IsPermutation(si) {
 				t.Fatalf("step %d: set %d stack invariant broken", step, si)
 			}
 		}

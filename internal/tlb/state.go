@@ -9,7 +9,11 @@ import (
 // and policy metadata, in set/way order, so two TLBs hash equal iff they
 // are architecturally identical (including replacement state).
 func (t *TLB) HashState(h *arch.StateHash) {
+	var pos [256]uint8 // pos[w] is way w's stack position, hashed with w's other fields
 	for si := range t.sets {
+		for p, w := range t.stack.Order(si) {
+			pos[w] = uint8(p)
+		}
 		for w := range t.sets[si] {
 			e := &t.sets[si][w]
 			h.Bool(e.Valid)
@@ -18,7 +22,7 @@ func (t *TLB) HashState(h *arch.StateHash) {
 			h.Word(uint64(e.PageBits))
 			h.Word(uint64(e.Class))
 			h.Word(uint64(e.Thread))
-			h.Word(uint64(e.Stack))
+			h.Word(uint64(pos[w]))
 			h.Word(uint64(e.Freq))
 			h.Word(uint64(e.Sig))
 			h.Bool(e.Reused)
@@ -34,8 +38,8 @@ func (s *Split) HashState(h *arch.StateHash) {
 
 // AuditState implements audit.Checkable. Invariants:
 //
-//   - stack-permutation: each set's Stack fields form a permutation of
-//     0..ways-1 (the substrate every stack-based policy assumes);
+//   - stack-permutation: each set's recency order is a permutation of
+//     its ways (the substrate every stack-based policy assumes);
 //   - duplicate-entry: no two valid ways of a set map the same
 //     (VPN, PageBits, Thread) — a duplicate would make lookups
 //     way-order-dependent;
@@ -44,7 +48,7 @@ func (s *Split) HashState(h *arch.StateHash) {
 func (t *TLB) AuditState(r *audit.Report) {
 	for si := range t.sets {
 		set := t.sets[si]
-		if !CheckStackInvariant(set) {
+		if !t.stack.IsPermutation(si) {
 			r.Violatef("stack-permutation", "%s set %d: stack positions are not a permutation", t.name, si)
 		}
 		for a := range set {

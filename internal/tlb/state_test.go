@@ -102,7 +102,7 @@ func TestAuditCleanAfterTraffic(t *testing.T) {
 
 func TestAuditDetectsStackCorruption(t *testing.T) {
 	tl := filledTLB()
-	tl.VisitEntries(func(e *Entry) { e.Stack = 99 })
+	tl.stack.Order(0)[0] = 99
 	v := auditOne(t, tl)
 	if len(v) == 0 || v[0].Rule != "stack-permutation" {
 		t.Fatalf("want stack-permutation, got %v", v)

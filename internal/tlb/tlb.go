@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"itpsim/internal/arch"
+	"itpsim/internal/replacement"
 )
 
 // Entry is one TLB entry plus the metadata iTP adds: the Type bit
@@ -21,8 +22,8 @@ type Entry struct {
 	Class    arch.Class
 	Thread   uint8
 
-	// Policy state.
-	Stack  uint8 // recency-stack position, 0 = MRU
+	// Policy state. The recency order is not per entry: the TLB owns
+	// one replacement.Stack for all its sets.
 	Freq   uint8 // iTP frequency counter
 	Sig    uint16
 	Reused bool
@@ -38,94 +39,19 @@ type Request struct {
 }
 
 // Policy decides TLB victims and stack movement, mirroring the cache-side
-// replacement.Policy shape.
+// replacement.Policy shape: stack is the TLB's recency order, the TLB
+// fills the deepest invalid way of a set itself, and Victim runs only on
+// a full set.
 type Policy interface {
 	Name() string
 	//itp:hotpath
-	Victim(setIdx int, set []Entry, req *Request) int
+	Victim(setIdx int, set []Entry, stack *replacement.Stack, req *Request) int
 	//itp:hotpath
-	OnFill(setIdx int, set []Entry, way int, req *Request)
+	OnFill(setIdx int, set []Entry, stack *replacement.Stack, way int, req *Request)
 	//itp:hotpath
-	OnHit(setIdx int, set []Entry, way int, req *Request)
+	OnHit(setIdx int, set []Entry, stack *replacement.Stack, way int, req *Request)
 	//itp:hotpath
 	OnEvict(setIdx int, set []Entry, way int)
-}
-
-// InitSet establishes the stack-position permutation for a fresh set.
-//
-//itp:hotpath
-func InitSet(set []Entry) {
-	for i := range set {
-		set[i].Stack = uint8(i)
-	}
-}
-
-// InvalidWay returns an invalid way with the deepest stack position, or -1.
-//
-//itp:hotpath
-func InvalidWay(set []Entry) int {
-	best, bestStack := -1, -1
-	for i := range set {
-		if !set[i].Valid && int(set[i].Stack) > bestStack {
-			best, bestStack = i, int(set[i].Stack)
-		}
-	}
-	return best
-}
-
-// StackLRUVictim returns the way at the stack bottom, invalid ways first.
-//
-//itp:hotpath
-func StackLRUVictim(set []Entry) int {
-	if w := InvalidWay(set); w >= 0 {
-		return w
-	}
-	victim, deepest := 0, -1
-	for i := range set {
-		if int(set[i].Stack) > deepest {
-			victim, deepest = i, int(set[i].Stack)
-		}
-	}
-	return victim
-}
-
-// MoveToStackPos repositions way to stack position pos, preserving the
-// permutation invariant.
-//
-//itp:hotpath
-func MoveToStackPos(set []Entry, way, pos int) {
-	old := int(set[way].Stack)
-	switch {
-	case pos < old:
-		for i := range set {
-			if p := int(set[i].Stack); p >= pos && p < old {
-				set[i].Stack++
-			}
-		}
-	case pos > old:
-		for i := range set {
-			if p := int(set[i].Stack); p > old && p <= pos {
-				set[i].Stack--
-			}
-		}
-	default:
-		return
-	}
-	set[way].Stack = uint8(pos)
-}
-
-// CheckStackInvariant reports whether stack positions form a permutation
-// (test helper).
-func CheckStackInvariant(set []Entry) bool {
-	seen := make([]bool, len(set))
-	for i := range set {
-		p := int(set[i].Stack)
-		if p < 0 || p >= len(set) || seen[p] {
-			return false
-		}
-		seen[p] = true
-	}
-	return true
 }
 
 // Store is the lookup/insert interface shared by unified and split STLBs
@@ -147,6 +73,7 @@ type Store interface {
 type TLB struct {
 	name    string
 	sets    [][]Entry
+	stack   *replacement.Stack
 	setMask uint64
 	policy  Policy
 
@@ -166,12 +93,12 @@ func New(name string, nsets, ways int, policy Policy) *TLB {
 	t := &TLB{
 		name:    name,
 		sets:    make([][]Entry, nsets),
+		stack:   replacement.NewStack(nsets, ways),
 		setMask: uint64(nsets - 1),
 		policy:  policy,
 	}
 	for i := range t.sets {
 		t.sets[i] = make([]Entry, ways)
-		InitSet(t.sets[i])
 	}
 	return t
 }
@@ -184,6 +111,9 @@ func (t *TLB) Entries() int { return len(t.sets) * len(t.sets[0]) }
 
 // Policy returns the replacement policy in use.
 func (t *TLB) Policy() Policy { return t.policy }
+
+// Stack returns the recency order of all sets (audits and tests).
+func (t *TLB) Stack() *replacement.Stack { return t.stack }
 
 // setFor returns the set index for a VPN.
 //
@@ -219,7 +149,7 @@ func (t *TLB) Lookup(vaddr arch.Addr, pc uint64, class arch.Class, thread uint8)
 		set := t.sets[si]
 		req := &t.req
 		*req = Request{VPN: set[w].VPN, PC: pc, Class: class, Thread: thread, PageBits: pageBits}
-		t.policy.OnHit(si, set, w, req)
+		t.policy.OnHit(si, set, t.stack, w, req)
 		return set[w].PPN, pageBits, true
 	}
 	return 0, 0, false
@@ -247,8 +177,9 @@ func (t *TLB) Peek(vaddr arch.Addr, thread uint8) (ppn uint64, pageBits uint8, c
 	return 0, 0, 0, false
 }
 
-// Insert implements Store: victimise per policy, write the entry, then
-// apply the policy's insertion rule.
+// Insert implements Store: take the deepest invalid way of the set, or
+// victimise per policy when it is full, write the entry, then apply the
+// policy's insertion rule.
 //
 //itp:hotpath
 func (t *TLB) Insert(vaddr arch.Addr, ppn uint64, pageBits uint8, class arch.Class, pc uint64, thread uint8) {
@@ -260,11 +191,19 @@ func (t *TLB) Insert(vaddr arch.Addr, ppn uint64, pageBits uint8, class arch.Cla
 	// Refuse duplicate inserts (a second walk for the same page may have
 	// completed first); treat as a touch instead.
 	if _, w := t.lookupSize(vaddr, pageBits, thread); w >= 0 {
-		t.policy.OnHit(si, set, w, req)
+		t.policy.OnHit(si, set, t.stack, w, req)
 		return
 	}
-	w := t.policy.Victim(si, set, req)
-	if set[w].Valid {
+	w := -1
+	order := t.stack.Order(si)
+	for pos := len(order) - 1; pos >= 0; pos-- {
+		if v := int(order[pos]); !set[v].Valid {
+			w = v
+			break
+		}
+	}
+	if w < 0 {
+		w = t.policy.Victim(si, set, t.stack, req)
 		t.policy.OnEvict(si, set, w)
 	}
 	set[w] = Entry{
@@ -274,12 +213,11 @@ func (t *TLB) Insert(vaddr arch.Addr, ppn uint64, pageBits uint8, class arch.Cla
 		PageBits: pageBits,
 		Class:    class,
 		Thread:   thread,
-		Stack:    set[w].Stack, // preserve the permutation invariant
 	}
-	t.policy.OnFill(si, set, w, req)
+	t.policy.OnFill(si, set, t.stack, w, req)
 }
 
-// Flush invalidates all entries (keeps stack permutation).
+// Flush invalidates all entries; the recency order is kept.
 func (t *TLB) Flush() {
 	for si := range t.sets {
 		for w := range t.sets[si] {

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"itpsim/internal/arch"
+	"itpsim/internal/replacement"
 )
 
 func TestNewPanicsOnBadSets(t *testing.T) {
@@ -153,15 +154,18 @@ func TestSplitRouting(t *testing.T) {
 	}
 }
 
+// TestStackHelpersProperty drives a TLB's stack with arbitrary moves and
+// checks every set keeps a permutation with each moved way where it was
+// put.
 func TestStackHelpersProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
-		set := make([]Entry, 12)
-		InitSet(set)
+		tl := New("q", 2, 12, NewLRU())
 		for _, op := range ops {
+			si := int(op>>15) & 1
 			way := int(op) % 12
 			pos := int(op>>8) % 12
-			MoveToStackPos(set, way, pos)
-			if !CheckStackInvariant(set) {
+			tl.stack.Move(si, way, pos)
+			if !tl.stack.IsPermutation(si) || tl.stack.Pos(si, way) != pos {
 				return false
 			}
 		}
@@ -194,7 +198,7 @@ func TestTLBConsistencyUnderTraffic(t *testing.T) {
 	}
 	seen := map[key]bool{}
 	for si := range tl.sets {
-		if !CheckStackInvariant(tl.sets[si]) {
+		if !tl.stack.IsPermutation(si) {
 			t.Fatalf("set %d stack invariant broken", si)
 		}
 		for _, e := range tl.sets[si] {
@@ -212,8 +216,7 @@ func TestTLBConsistencyUnderTraffic(t *testing.T) {
 
 func TestCHiRPInsertionDependsOnConfidence(t *testing.T) {
 	c := NewCHiRP(8)
-	set := make([]Entry, 8)
-	InitSet(set)
+	set, st := make([]Entry, 8), replacement.NewStack(1, 8)
 	for i := range set {
 		set[i].Valid = true
 	}
@@ -221,39 +224,38 @@ func TestCHiRPInsertionDependsOnConfidence(t *testing.T) {
 	sig := c.signature(0, 42)
 
 	c.table[sig] = chirpThreshold // confident
-	c.OnFill(0, set, 3, req)
-	if set[3].Stack != 0 {
-		t.Errorf("confident fill at stack %d, want 0", set[3].Stack)
+	c.OnFill(0, set, st, 3, req)
+	if st.Pos(0, 3) != 0 {
+		t.Errorf("confident fill at stack %d, want 0", st.Pos(0, 3))
 	}
 
 	c.table[sig] = 0 // dead signature
-	c.OnFill(0, set, 5, req)
-	if int(set[5].Stack) != c.lowInsertPos {
-		t.Errorf("dead fill at stack %d, want %d", set[5].Stack, c.lowInsertPos)
+	c.OnFill(0, set, st, 5, req)
+	if st.Pos(0, 5) != c.lowInsertPos {
+		t.Errorf("dead fill at stack %d, want %d", st.Pos(0, 5), c.lowInsertPos)
 	}
 }
 
 func TestCHiRPTraining(t *testing.T) {
 	c := NewCHiRP(8)
-	set := make([]Entry, 8)
-	InitSet(set)
+	set, st := make([]Entry, 8), replacement.NewStack(1, 8)
 	for i := range set {
 		set[i].Valid = true
 	}
 	req := &Request{VPN: 7}
-	c.OnFill(0, set, 0, req)
+	c.OnFill(0, set, st, 0, req)
 	sig := set[0].Sig
 	before := c.table[sig]
-	c.OnHit(0, set, 0, req)
+	c.OnHit(0, set, st, 0, req)
 	if c.table[sig] != before+1 {
 		t.Error("hit should raise confidence")
 	}
-	c.OnHit(0, set, 0, req)
+	c.OnHit(0, set, st, 0, req)
 	if c.table[sig] != before+1 {
 		t.Error("second hit on same residency should not retrain")
 	}
 	// Fill-then-evict with no reuse lowers confidence.
-	c.OnFill(0, set, 1, req)
+	c.OnFill(0, set, st, 1, req)
 	sig1 := set[1].Sig
 	mid := c.table[sig1]
 	c.OnEvict(0, set, 1)
@@ -275,19 +277,18 @@ func TestCHiRPHistoryChangesSignature(t *testing.T) {
 
 func TestCHiRPCounterSaturation(t *testing.T) {
 	c := NewCHiRP(8)
-	set := make([]Entry, 8)
-	InitSet(set)
+	set, st := make([]Entry, 8), replacement.NewStack(1, 8)
 	set[0].Valid = true
 	req := &Request{VPN: 9}
 	for i := 0; i < 20; i++ {
-		c.OnFill(0, set, 0, req)
-		c.OnHit(0, set, 0, req)
+		c.OnFill(0, set, st, 0, req)
+		c.OnHit(0, set, st, 0, req)
 	}
 	if c.table[set[0].Sig] > chirpCtrMax {
 		t.Error("counter exceeded max")
 	}
 	for i := 0; i < 20; i++ {
-		c.OnFill(0, set, 0, req)
+		c.OnFill(0, set, st, 0, req)
 		c.OnEvict(0, set, 0)
 	}
 	if c.table[set[0].Sig] != 0 {
